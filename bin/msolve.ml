@@ -114,10 +114,10 @@ let presimplify_instance ~quiet w =
           r.Msu_sat.Simplify.strengthened;
       Some (w', r.Msu_sat.Simplify.restore_model)
 
-let run file algorithm encoding timeout conflicts propagations memory_mb verify
-    verbose trace_file stats_json no_geq1 no_incremental quiet incomplete
-    portfolio jobs share_clauses sls_worker connect priority no_cache
-    no_inprocess presimplify profile =
+let run () file algorithm encoding timeout conflicts propagations memory_mb verify
+    verbose trace_file stats_json no_geq1 quiet incomplete portfolio jobs
+    share_clauses sls_worker connect priority no_cache no_inprocess presimplify
+    profile =
   let w =
     try Ok (Msu_cnf.Dimacs.parse_wcnf_file file) with
     | Msu_cnf.Dimacs.Parse_error (line, msg) ->
@@ -213,9 +213,7 @@ let run file algorithm encoding timeout conflicts propagations memory_mb verify
         {
           T.default_config with
           T.deadline;
-          T.encoding;
           T.core_geq1 = not no_geq1;
-          T.incremental = not no_incremental;
           T.sink = sink;
           T.spans = spans;
           T.max_conflicts = conflicts;
@@ -321,12 +319,11 @@ let run file algorithm encoding timeout conflicts propagations memory_mb verify
           | None -> "[]"
         in
         Printf.printf
-          "{\"file\":%S,\"outcome\":%S,\"lb\":%d,\"ub\":%s,\"elapsed\":%.6f,\"stats\":{\"sat_calls\":%d,\"cores\":%d,\"blocking_vars\":%d,\"encoding_clauses\":%d,\"rebuilds\":%d},\"phases\":%s,\"gc\":{\"minor_words\":%.0f,\"major_words\":%.0f,\"promoted_words\":%.0f,\"heap_words\":%d,\"minor_collections\":%d,\"major_collections\":%d},\"metrics\":%s}\n"
+          "{\"file\":%S,\"outcome\":%S,\"lb\":%d,\"ub\":%s,\"elapsed\":%.6f,\"stats\":{\"sat_calls\":%d,\"cores\":%d,\"blocking_vars\":%d,\"encoding_clauses\":%d},\"phases\":%s,\"gc\":{\"minor_words\":%.0f,\"major_words\":%.0f,\"promoted_words\":%.0f,\"heap_words\":%d,\"minor_collections\":%d,\"major_collections\":%d},\"metrics\":%s}\n"
           file outcome_tag lb
           (match ub with Some u -> string_of_int u | None -> "null")
           r.T.elapsed r.T.stats.T.sat_calls r.T.stats.T.cores
-          r.T.stats.T.blocking_vars r.T.stats.T.encoding_clauses
-          r.T.stats.T.rebuilds phases_json
+          r.T.stats.T.blocking_vars r.T.stats.T.encoding_clauses phases_json
           (Gc.minor_words () -. gc0_minor)
           (gc1.Gc.major_words -. gc0.Gc.major_words)
           (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
@@ -391,6 +388,31 @@ let run file algorithm encoding timeout conflicts propagations memory_mb verify
       end
       else code))
 
+(* An entry point that cannot honour a flag rejects it instead of
+   dropping it: portfolio workers and the solve service build their own
+   solver configuration, which these flags never reach.  Evaluated as
+   the first argument of [run], so a rejection stops before any work. *)
+let honoured_flags portfolio connect incomplete no_inprocess no_geq1 memory_mb
+    propagations =
+  let solver_flags =
+    [
+      ("--no-inprocess", no_inprocess);
+      ("--no-core-geq1", no_geq1);
+      ("--memory-mb", memory_mb <> None);
+      ("--propagations", propagations <> None);
+      ("--incomplete", incomplete);
+    ]
+  in
+  let reject entry flags =
+    match List.find_opt snd flags with
+    | Some (flag, _) -> `Error (true, Printf.sprintf "%s cannot be used with %s" flag entry)
+    | None -> `Ok ()
+  in
+  match (connect, portfolio) with
+  | Some _, _ -> reject "--connect" (("--portfolio", portfolio) :: solver_flags)
+  | None, true -> reject "--portfolio" solver_flags
+  | None, false -> `Ok ()
+
 open Cmdliner
 
 let file =
@@ -403,7 +425,9 @@ let algorithm =
     & info [ "a"; "algorithm" ] ~docv:"ALG"
         ~doc:
           "MaxSAT algorithm: msu4-v1, msu4-v2, msu1, msu2, msu3, oll, wpm1, pbo, \
-           pbo-binary, maxsatz, brute.")
+           pbo-binary, maxsatz, brute.  msu4-v1 and msu4-v2 are the same loop \
+           (the paper's two names for msu4; both bound the blocking variables \
+           with an incremental totalizer).")
 
 let encoding =
   Arg.(
@@ -411,8 +435,9 @@ let encoding =
     & opt encoding_conv Card.Sortnet
     & info [ "e"; "encoding" ] ~docv:"ENC"
         ~doc:
-          "Cardinality encoding for algorithms that honour it: bdd, sortnet, \
-           seqcounter, totalizer, binomial.")
+          "Cardinality encoding of the cost bound that $(b,--verify)'s \
+           optimality probe refutes: bdd, sortnet, seqcounter, totalizer, \
+           binomial.  The solving algorithms do not read it.")
 
 let timeout =
   Arg.(
@@ -481,15 +506,6 @@ let no_geq1 =
     & info [ "no-core-geq1" ]
         ~doc:"Disable msu4's optional at-least-one constraint (Algorithm 1, line 19).")
 
-let no_incremental =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Rebuild the SAT solver from scratch after each UNSAT iteration (the \
-           historical behaviour) instead of keeping one incremental solver with \
-           assumption selectors for the whole solve.  Mainly for ablation.")
-
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress comment lines.")
 
 let incomplete =
@@ -508,7 +524,9 @@ let portfolio =
           "Race several algorithm/encoding configurations in forked worker \
            processes with live lower/upper-bound sharing; the first to close \
            the gap wins and the rest are cancelled gracefully.  Ignores \
-           $(b,--algorithm) and $(b,--encoding).")
+           $(b,--algorithm); $(b,--no-inprocess), $(b,--no-core-geq1), \
+           $(b,--memory-mb), $(b,--propagations) and $(b,--incomplete) are \
+           usage errors here, since the workers cannot honour them.")
 
 let jobs =
   Arg.(
@@ -546,7 +564,10 @@ let connect =
            $(b,--algorithm), $(b,--encoding), $(b,--timeout) and \
            $(b,--conflicts) travel with the request; Ctrl-C cancels the \
            remote job (salvaged bounds still come back).  $(b,--verify) \
-           certifies the returned result locally.")
+           certifies the returned result locally.  The service cannot \
+           honour $(b,--portfolio), $(b,--incomplete), $(b,--no-inprocess), \
+           $(b,--no-core-geq1), $(b,--memory-mb) or $(b,--propagations); \
+           each is a usage error here.")
 
 let priority =
   Arg.(
@@ -570,7 +591,7 @@ let no_inprocess =
     & info [ "no-inprocess" ]
         ~doc:
           "Disable inprocessing (bounded variable elimination, subsumption, \
-           failed-literal probing) inside the incremental solver between \
+           failed-literal probing) inside the persistent solver between \
            core iterations.  Mainly for ablation.")
 
 let presimplify =
@@ -614,10 +635,13 @@ let cmd =
   Cmd.v
     (Cmd.info "msolve" ~version:"1.0" ~doc ~exits)
     Term.(
-      const run $ file $ algorithm $ encoding $ timeout $ conflicts $ propagations
-      $ memory_mb $ verify $ verbose $ trace_file $ stats_json $ no_geq1
-      $ no_incremental $ quiet $ incomplete $ portfolio $ jobs $ share_clauses
-      $ sls_worker $ connect $ priority $ no_cache $ no_inprocess $ presimplify
-      $ profile)
+      const run
+      $ ret
+          (const honoured_flags $ portfolio $ connect $ incomplete $ no_inprocess
+         $ no_geq1 $ memory_mb $ propagations)
+      $ file $ algorithm $ encoding $ timeout $ conflicts $ propagations $ memory_mb
+      $ verify $ verbose $ trace_file $ stats_json $ no_geq1 $ quiet $ incomplete
+      $ portfolio $ jobs $ share_clauses $ sls_worker $ connect $ priority $ no_cache
+      $ no_inprocess $ presimplify $ profile)
 
 let () = exit (Cmd.eval' cmd)

@@ -20,7 +20,7 @@ let () =
   Printf.printf "Instance: %d variables, %d soft clauses\n\n" (Wcnf.num_vars w)
     (Wcnf.num_soft w);
 
-  Printf.printf "Running msu4 (sorting-network encoding, the paper's v2):\n";
+  Printf.printf "Running msu4 (the paper's Algorithm 1):\n";
   let config =
     {
       T.default_config with

@@ -147,21 +147,6 @@ let totalizer_at_least sink lits k =
   let outputs = totalizer_build sink ~le:false ~ge:true lits in
   sink.emit [| outputs.(k - 1) |]
 
-module Totalizer_tree = struct
-  type t = { inputs : int; outputs : Lit.t array }
-
-  let build sink lits =
-    if Array.length lits = 0 then { inputs = 0; outputs = [||] }
-    else
-      { inputs = Array.length lits; outputs = totalizer_build sink ~le:true ~ge:true lits }
-
-  let outputs t = t.outputs
-
-  let at_most_assumption t k =
-    if k < 0 then invalid_arg "Totalizer_tree.at_most_assumption: negative bound";
-    if k >= t.inputs then None else Some (Lit.neg t.outputs.(k))
-end
-
 (* ------------------------------------------------------------------ *)
 (* Batcher odd-even sorting network.                                    *)
 (* ------------------------------------------------------------------ *)

@@ -55,22 +55,3 @@ val at_most_one : sink -> Msu_cnf.Lit.t array -> unit
 val exactly_one : sink -> Msu_cnf.Lit.t array -> unit
 (** The clause [lits] plus pairwise at-most-one, as used by Fu & Malik's
     algorithm. *)
-
-(** Unary counter with a reusable output vector (for incremental
-    algorithms such as msu3 that tighten or relax a bound between SAT
-    calls: bounds become unit assumptions over {!Tree.output}). *)
-module Totalizer_tree : sig
-  type t
-
-  val build : sink -> Msu_cnf.Lit.t array -> t
-  (** Emits the merge clauses (both directions) for the full totalizer
-      over the inputs. *)
-
-  val outputs : t -> Msu_cnf.Lit.t array
-  (** [outputs t].(i) is true iff at least [i+1] inputs are true. *)
-
-  val at_most_assumption : t -> int -> Msu_cnf.Lit.t option
-  (** The literal to assume for "at most k": [Some (neg outputs.(k))], or
-      [None] when the bound is vacuous ([k >= length inputs]).
-      @raise Invalid_argument when [k < 0]. *)
-end

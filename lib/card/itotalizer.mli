@@ -1,10 +1,11 @@
 (** Incremental totalizer (Martins, Joshi, Manquinho & Lynce, CP 2014).
 
     A unary counter over a growing set of literals whose upper bound is
-    tightened across SAT calls.  Unlike {!Card.Totalizer_tree}, which
-    emits the whole encoding at build time, this module emits nothing on
-    {!create}: output variables are allocated for the full tree up
-    front, but the merge clauses for the output row [sigma] — the
+    tightened across SAT calls.  Unlike {!Card.at_most} with the
+    [Totalizer] encoding, which emits the whole encoding at once, this
+    module emits nothing on {!create}: output variables are allocated
+    for the full tree up front, but the merge clauses for the output
+    row [sigma] — the
     clauses that force output [sigma - 1] true once [sigma] inputs are —
     appear only when {!at_most} first needs that row.  Re-asserting a
     bound already covered, or any smaller bound, emits no clauses at

@@ -61,8 +61,8 @@ let algorithm_of_string = function
   | _ -> None
 
 let describe = function
-  | Msu4_v1 -> "msu4 with BDD cardinality encoding (paper's v1)"
-  | Msu4_v2 -> "msu4 with sorting-network cardinality encoding (paper's v2)"
+  | Msu4_v1 -> "msu4 under the paper's v1 name; runs the same loop as msu4-v2"
+  | Msu4_v2 -> "msu4: one persistent solver, incremental-totalizer bound"
   | Msu1 -> "Fu & Malik core-guided algorithm with pairwise exactly-one"
   | Msu2 -> "Fu & Malik variant with linear exactly-one encodings"
   | Msu3 -> "core-guided lower-bound search, one blocking variable per clause"
@@ -76,8 +76,7 @@ let describe = function
 
 let solve ?(config = Types.default_config) algorithm w =
   match algorithm with
-  | Msu4_v1 -> Msu4.solve ~config:{ config with encoding = Msu_card.Card.Bdd } w
-  | Msu4_v2 -> Msu4.solve ~config:{ config with encoding = Msu_card.Card.Sortnet } w
+  | Msu4_v1 | Msu4_v2 -> Msu4.solve ~config w
   | Msu1 -> Msu1.solve ~config w
   | Msu2 -> Msu2.solve ~config w
   | Msu3 -> Msu3.solve ~config w

@@ -4,9 +4,10 @@
     The algorithms (all exact):
 
     {ul
-    {- {!Msu4} — the paper's contribution; [Msu4_v1] fixes the BDD
-       cardinality encoding, [Msu4_v2] the sorting-network one, matching
-       the two versions evaluated in the paper.}
+    {- {!Msu4} — the paper's contribution.  The paper evaluated two
+       versions, v1 (BDD bound) and v2 (sorting-network bound); both
+       names are kept, and both run the same persistent-solver loop,
+       whose bound is an incremental totalizer (DESIGN.md §7).}
     {- {!Msu1}/{!Msu2}/{!Msu3} — the earlier core-guided algorithms
        discussed in the paper's related work.}
     {- {!Oll} — the incremental soft-cardinality algorithm the msu line
@@ -20,8 +21,8 @@
     {- [Brute] — exhaustive reference for testing.}} *)
 
 type algorithm =
-  | Msu4_v1  (** msu4 with BDD-encoded cardinality constraints *)
-  | Msu4_v2  (** msu4 with sorting networks *)
+  | Msu4_v1  (** msu4 under the paper's v1 name; same program as [Msu4_v2] *)
+  | Msu4_v2  (** msu4 *)
   | Msu1
   | Msu2
   | Msu3
@@ -47,8 +48,7 @@ val describe : algorithm -> string
 
 val solve :
   ?config:Types.config -> algorithm -> Msu_cnf.Wcnf.t -> Types.result
-(** Dispatches; [Msu4_v1]/[Msu4_v2] override [config.encoding] with
-    their fixed encoding, every other algorithm honours it. *)
+(** Dispatches to the algorithm's one loop. *)
 
 val solve_formula :
   ?config:Types.config -> algorithm -> Msu_cnf.Formula.t -> Types.result

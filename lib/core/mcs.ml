@@ -1,7 +1,7 @@
 module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 module Solver = Msu_sat.Solver
-module Card = Msu_card.Card
+module Itotalizer = Msu_card.Itotalizer
 
 type outcome = { mcses : int list list; complete : bool }
 
@@ -16,7 +16,8 @@ let enumerate ?deadline ?(limit = 64) w =
         Solver.add_clause s (Array.append (Wcnf.soft w i) [| b |]);
         b)
   in
-  let tree = Card.Totalizer_tree.build (Solver.sink s) blocks in
+  let sink = Solver.sink s in
+  let tree = Itotalizer.create sink blocks in
   (* Hard clauses satisfiable at all?  (k = n_soft means no bound.) *)
   match Solver.solve ?deadline s with
   | Solver.Unsat -> None
@@ -39,7 +40,7 @@ let enumerate ?deadline ?(limit = 64) w =
       let stop = ref false in
       while (not !stop) && !k <= n_soft do
         let assumptions =
-          match Card.Totalizer_tree.at_most_assumption tree !k with
+          match Itotalizer.at_most sink tree !k with
           | Some l -> [| l |]
           | None -> [||]
         in

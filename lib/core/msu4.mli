@@ -18,9 +18,11 @@
        UNSAT iterations — meets the upper bound, the optimum is
        reached.}}
 
-    The cardinality constraints are encoded per
-    {!Types.config.encoding}: [Bdd] reproduces the paper's v1,
-    [Sortnet] its v2.
+    One SAT solver lives for the whole solve.  Soft clauses sit under
+    assumption selectors, the line-30 bound is an incremental totalizer
+    over the blocking variables, and line 19 is a plain clause.  The
+    paper's v1/v2 split (BDD vs sorting-network bound) is therefore
+    gone: both {!Maxsat} names run this loop (DESIGN.md §7).
 
     This implementation extends the paper to {e partial} MaxSAT in the
     standard way (hard clauses are never relaxed and never appear in

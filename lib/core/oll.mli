@@ -12,8 +12,8 @@
     totalizer over the core's literals, and {e re-enters} the
     totalizer's outputs as new assumptions ("at most 1 of the core may
     be violated, then at most 2, ...").  The first SAT answer proves
-    the accumulated lower bound optimal.  Everything is incremental:
-    one solver instance, no rebuilds. *)
+    the accumulated lower bound optimal.  One solver instance serves
+    the whole solve, and each sum is an incremental totalizer. *)
 
 val solve : ?config:Types.config -> Msu_cnf.Wcnf.t -> Types.result
 (** Unit weights and hard clauses.

@@ -18,7 +18,8 @@ val solve :
   Msu_cnf.Wcnf.t ->
   Types.result
 (** Default search is [`Linear] (minisat+'s default minimization
-    strategy).  Unit-weight instances use {!Types.config.encoding} for
-    the bound; weighted instances use the generalized totalizer
-    ({!Msu_card.Gte}).  [`Binary] bisects over one reusable counter with
-    assumption literals.  Arbitrary positive weights are accepted. *)
+    strategy).  Both searches keep one solver and assume the bound over
+    one reusable counter.  [`Linear] counts with the incremental
+    totalizer on unit weights and with the generalized totalizer
+    ({!Msu_card.Gte}) otherwise; [`Binary] always uses the generalized
+    totalizer.  Arbitrary positive weights are accepted. *)

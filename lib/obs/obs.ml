@@ -31,7 +31,6 @@ module Event = struct
     | Card_constraint of { arity : int; bound : int }
     | Restart
     | Reduce_db of { kept : int }
-    | Rebuild
     | Cache_hit
     | Cache_miss
     | Queue_enqueue of { depth : int }
@@ -68,7 +67,6 @@ module Event = struct
         Printf.sprintf "card: at-most %d over %d lits" bound arity
     | Restart -> "restart"
     | Reduce_db { kept } -> Printf.sprintf "reduce db: kept %d learnts" kept
-    | Rebuild -> "rebuild"
     | Cache_hit -> "cache hit"
     | Cache_miss -> "cache miss"
     | Queue_enqueue { depth } -> Printf.sprintf "enqueue (depth %d)" depth
@@ -104,7 +102,6 @@ module Event = struct
       | Card_constraint { arity; bound } -> Printf.sprintf "card %d %d" arity bound
       | Restart -> "restart"
       | Reduce_db { kept } -> Printf.sprintf "reduce_db %d" kept
-      | Rebuild -> "rebuild"
       | Cache_hit -> "cache_hit"
       | Cache_miss -> "cache_miss"
       | Queue_enqueue { depth } -> Printf.sprintf "enqueue %d" depth
@@ -138,7 +135,6 @@ module Event = struct
     | "card" -> Some (int2 (fun arity bound -> Card_constraint { arity; bound }))
     | "restart" -> Some Restart
     | "reduce_db" -> Some (Reduce_db { kept = int1 () })
-    | "rebuild" -> Some Rebuild
     | "cache_hit" -> Some Cache_hit
     | "cache_miss" -> Some Cache_miss
     | "enqueue" -> Some (Queue_enqueue { depth = int1 () })
@@ -160,7 +156,7 @@ module Event = struct
              (fun trace span parent elapsed c1 c2 phase ->
                Span_end { trace; span; parent; phase; elapsed; c1; c2 }))
     | "note" -> Some (Note args)
-    | _ -> None
+    | _ -> None (* unknown or retired tag (e.g. "rebuild"): skipped *)
 
   let of_wire line =
     try
@@ -212,7 +208,6 @@ module Event = struct
           Printf.sprintf {|"ev":"card","arity":%d,"bound":%d|} arity bound
       | Restart -> {|"ev":"restart"|}
       | Reduce_db { kept } -> Printf.sprintf {|"ev":"reduce_db","kept":%d|} kept
-      | Rebuild -> {|"ev":"rebuild"|}
       | Cache_hit -> {|"ev":"cache_hit"|}
       | Cache_miss -> {|"ev":"cache_miss"|}
       | Queue_enqueue { depth } ->
@@ -355,7 +350,6 @@ module Event = struct
         | "reduce_db" ->
             let* kept = int_field "kept" in
             Some (Reduce_db { kept })
-        | "rebuild" -> Some Rebuild
         | "cache_hit" -> Some Cache_hit
         | "cache_miss" -> Some Cache_miss
         | "enqueue" ->
@@ -397,7 +391,7 @@ module Event = struct
         | "note" ->
             let* msg = Hashtbl.find_opt strings "msg" in
             Some (Note msg)
-        | _ -> None
+        | _ -> None (* unknown or retired tag (e.g. "rebuild"): skipped *)
       in
       Some { id; at; kind }
 end
@@ -420,39 +414,8 @@ let tee a b =
   | Null, s | s, Null -> s
   | Emit f, Emit g -> Emit (fun ev -> f ev; g ev)
 
-(* Lock-free bounded ring: a fetch-and-add claims a slot, the slot write
-   is a single atomic store.  Overwrites the oldest events once full;
-   [total] keeps counting so overflow is detectable. *)
-module Ring = struct
-  type t = { cells : Event.t option Atomic.t array; head : int Atomic.t }
-
-  let create capacity =
-    if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-    { cells = Array.init capacity (fun _ -> Atomic.make None); head = Atomic.make 0 }
-
-  let capacity r = Array.length r.cells
-  let total r = Atomic.get r.head
-
-  let push r ev =
-    let i = Atomic.fetch_and_add r.head 1 in
-    Atomic.set r.cells.(i mod Array.length r.cells) (Some ev)
-
-  let length r = min (total r) (capacity r)
-
-  let contents r =
-    let cap = capacity r in
-    let n = total r in
-    let len = min n cap in
-    let start = n - len in
-    List.filter_map
-      (fun k -> Atomic.get r.cells.((start + k) mod cap))
-      (List.init len Fun.id)
-
-  let sink r = Emit (push r)
-end
-
-(* Unbounded in-order collector for tests and bench, where losing events
-   to ring wraparound would break the event-vs-stats oracle. *)
+(* Unbounded in-order collector for tests and bench: it never drops an
+   event, so the event-vs-stats oracle holds. *)
 module Collector = struct
   type t = { mutable rev : Event.t list; mutable n : int }
 
@@ -1055,7 +1018,6 @@ module Chrome = struct
     | Event.Card_constraint _ -> "card"
     | Event.Restart -> "restart"
     | Event.Reduce_db _ -> "reduce_db"
-    | Event.Rebuild -> "rebuild"
     | Event.Cache_hit -> "cache_hit"
     | Event.Cache_miss -> "cache_miss"
     | Event.Queue_enqueue _ -> "enqueue"

@@ -3,8 +3,8 @@
 
     The observability layer sits at the bottom of the stack (it depends
     only on [Unix]).  Algorithms and services emit {!Event.t} values
-    into a {!sink}; sinks include a lock-free {!Ring} buffer, an
-    unbounded {!Collector} (tests/bench), and a {!Jsonl} writer.  Events
+    into a {!sink}; sinks include an unbounded {!Collector}
+    (tests/bench) and a {!Jsonl} writer.  Events
     carry a monotonic timestamp and a solve/request id, so per-worker
     streams can be multiplexed over one pipe and demultiplexed into
     per-solve {!Timeline}s.  {!Metrics} is a process-wide registry of
@@ -34,7 +34,6 @@ module Event : sig
         (** cardinality constraint [≤ bound] encoded over [arity] literals *)
     | Restart  (** CDCL restart *)
     | Reduce_db of { kept : int }  (** learnt-clause DB reduction *)
-    | Rebuild  (** solver reconstructed (non-incremental path) *)
     | Cache_hit
     | Cache_miss
     | Queue_enqueue of { depth : int }  (** depth {e after} the push *)
@@ -107,31 +106,8 @@ val note : sink -> id:int -> (unit -> string) -> unit
 
 val tee : sink -> sink -> sink
 
-(** Lock-free bounded ring buffer: concurrent pushes claim slots with a
-    fetch-and-add; once full, the oldest events are overwritten. *)
-module Ring : sig
-  type t
-
-  val create : int -> t
-  (** @raise Invalid_argument when capacity < 1. *)
-
-  val push : t -> Event.t -> unit
-  val sink : t -> sink
-  val capacity : t -> int
-
-  val total : t -> int
-  (** Events ever pushed; [total > capacity] means wraparound dropped
-      [total - capacity] of them. *)
-
-  val length : t -> int
-  (** Events currently retained ([min total capacity]). *)
-
-  val contents : t -> Event.t list
-  (** Retained events, oldest first. *)
-end
-
-(** Unbounded in-order event collector, for tests and bench where ring
-    wraparound would break the event-vs-stats consistency oracle. *)
+(** Unbounded in-order event collector, for tests and bench; it never
+    drops an event, so the event-vs-stats consistency oracle holds. *)
 module Collector : sig
   type t
 

@@ -7,52 +7,24 @@ module Subproc = Msu_harness.Runner.Subproc
 module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 
-type spec = {
-  label : string;
-  algorithm : M.algorithm;
-  encoding : Msu_card.Card.encoding;
-  incremental : bool;
-  fault : Fault.kind option;
-}
+type spec = { label : string; algorithm : M.algorithm; fault : Fault.kind option }
 
-let spec ?encoding ?(incremental = true) ?fault algorithm =
-  let encoding =
-    match encoding with
-    | Some e -> e
-    | None -> (
-        match algorithm with
-        | M.Msu4_v1 -> Msu_card.Card.Bdd
-        | _ -> Msu_card.Card.Sortnet)
-  in
-  let label =
-    match algorithm with
-    | M.Sls -> "sls" (* no encoding, no solver: the suffix would only mislead *)
-    | _ ->
-        Printf.sprintf "%s/%s%s"
-          (M.algorithm_to_string algorithm)
-          (Msu_card.Card.encoding_to_string encoding)
-          (if incremental then "" else "/rebuild")
-  in
-  { label; algorithm; encoding; incremental; fault }
+let spec ?fault algorithm = { label = M.algorithm_to_string algorithm; algorithm; fault }
 
-(* Diversity order: the paper's two msu4 variants first, then the other
-   core-guided algorithms, then encoding/rebuild ablation variants.  No
-   duplicates past the list — racing two identical configs buys
-   nothing. *)
+(* Diversity order: the paper's msu4 first, then the other core-guided
+   algorithms, then the PBO and branch-and-bound baselines.  Every entry
+   runs a different program (msu4-v1 is absent: it runs msu4-v2's loop),
+   so [-j N] races N distinct solvers. *)
 let default_specs n =
   let base =
     [
       spec M.Msu4_v2;
       spec M.Msu3;
       spec M.Oll;
-      spec M.Msu4_v1;
-      spec ~encoding:Msu_card.Card.Totalizer M.Msu3;
       spec M.Wpm1;
       spec M.Pbo_linear;
       spec M.Msu1;
-      spec ~incremental:false M.Msu4_v2;
       spec M.Pbo_binary;
-      spec ~incremental:false M.Msu3;
       spec M.Branch_bound;
     ]
   in
@@ -417,8 +389,6 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
       T.default_config with
       T.deadline;
       max_conflicts;
-      encoding = sp.encoding;
-      incremental = sp.incremental;
       sink;
       solve_id = index;
       guard = Some guard;

@@ -1,4 +1,5 @@
 module Card = Msu_card.Card
+module Itotalizer = Msu_card.Itotalizer
 module Solver = Msu_sat.Solver
 module Lit = Msu_cnf.Lit
 
@@ -140,34 +141,18 @@ let test_exactly_one () =
       Alcotest.failf "exactly_one bits=%d" bits
   done
 
-let test_totalizer_tree_outputs () =
-  let s, sink = solver_sink () in
-  let lits = inputs s 5 in
-  let tree = Card.Totalizer_tree.build sink lits in
-  let outs = Card.Totalizer_tree.outputs tree in
-  Alcotest.(check int) "five outputs" 5 (Array.length outs);
-  (* Under each input assignment, output j must equal (count >= j+1). *)
-  for bits = 0 to 31 do
-    let c = popcount 5 bits in
-    for j = 0 to 4 do
-      let expect = c >= j + 1 in
-      let assumption = if expect then Lit.neg outs.(j) else outs.(j) in
-      let assumps = Array.append (assumptions_of_bits lits bits) [| assumption |] in
-      (* Forcing the output to the wrong value must be unsat. *)
-      if Solver.solve ~assumptions:assumps s = Solver.Sat then
-        Alcotest.failf "totalizer output wrong: bits=%d j=%d" bits j
-    done
-  done
-
+(* The incremental totalizer's at-most assumptions (the bound behind
+   msu3, msu4, OLL, PBO-linear and MCS enumeration), exhaustively over
+   every input assignment, with rows emitted lazily as k grows. *)
 let test_totalizer_tree_assumption_bounds () =
   let s, sink = solver_sink () in
   let lits = inputs s 4 in
-  let tree = Card.Totalizer_tree.build sink lits in
+  let tree = Itotalizer.create sink lits in
   Alcotest.(check bool)
     "bound >= n is vacuous" true
-    (Card.Totalizer_tree.at_most_assumption tree 4 = None);
+    (Itotalizer.at_most sink tree 4 = None);
   for k = 0 to 3 do
-    match Card.Totalizer_tree.at_most_assumption tree k with
+    match Itotalizer.at_most sink tree k with
     | None -> Alcotest.fail "expected an assumption literal"
     | Some bound ->
         for bits = 0 to 15 do
@@ -319,7 +304,6 @@ let suite =
       Alcotest.test_case "vacuous and impossible bounds" `Quick test_vacuous_and_impossible;
       Alcotest.test_case "at_most_one" `Quick test_at_most_one;
       Alcotest.test_case "exactly_one" `Quick test_exactly_one;
-      Alcotest.test_case "totalizer tree outputs" `Quick test_totalizer_tree_outputs;
       Alcotest.test_case "totalizer tree bounds" `Quick test_totalizer_tree_assumption_bounds;
       Alcotest.test_case "encoding names" `Quick test_encoding_names;
       QCheck_alcotest.to_alcotest prop_random_bound_respected;

@@ -66,8 +66,8 @@ let test_matches_brute_force () =
       done)
     [ 11; 42 ]
 
-(* Every single-worker portfolio agrees too: the spec plumbing
-   (algorithm, encoding, incremental mode) reaches the worker intact. *)
+(* Every single-worker portfolio agrees too: the spec plumbing reaches
+   the worker intact for every algorithm of the default lineup. *)
 let test_singleton_specs_agree () =
   let w = example2 () in
   List.iter
@@ -80,14 +80,7 @@ let test_singleton_specs_agree () =
             true
             (T.verify_model w (P.to_result pr))
       | o -> Alcotest.failf "%s: %a" sp.P.label T.pp_outcome o)
-    [
-      P.spec M.Msu4_v2;
-      P.spec M.Msu3;
-      P.spec M.Oll;
-      P.spec M.Msu4_v1;
-      P.spec ~encoding:Msu_card.Card.Totalizer M.Msu3;
-      P.spec ~incremental:false M.Msu4_v2;
-    ]
+    (P.default_specs max_int)
 
 (* A crashing worker must not poison the race: the survivor decides and
    the optimum is unchanged.  The sabotage fires at the faulted worker's
@@ -566,7 +559,13 @@ let test_default_specs () =
   let labels = List.map (fun sp -> sp.P.label) specs in
   Alcotest.(check int) "labels distinct" 4
     (List.length (List.sort_uniq compare labels));
-  Alcotest.(check bool) "cap holds" true (List.length (P.default_specs 99) <= 16)
+  Alcotest.(check bool) "cap holds" true (List.length (P.default_specs 99) <= 16);
+  (* msu4-v1 runs msu4-v2's loop: a lineup holding both would race one
+     program twice. *)
+  let algorithms = List.map (fun sp -> sp.P.algorithm) (P.default_specs 99) in
+  Alcotest.(check int) "every worker a different algorithm" (List.length algorithms)
+    (List.length (List.sort_uniq compare algorithms));
+  Alcotest.(check bool) "msu4-v1 absent" false (List.mem M.Msu4_v1 algorithms)
 
 let suite =
   [
