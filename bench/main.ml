@@ -631,21 +631,22 @@ let ablation_inprocess () =
 let ablation_portfolio () =
   let module Certify = Msu_maxsat.Certify in
   let subsample l = if !smoke then List.filteri (fun i _ -> i mod 3 = 0) l else l in
-  (* Per-suite configuration: the homogeneous suites race the four
-     core-guided algorithms; the mixed complementary-hardness suite
-     races core-guided against branch and bound, where the portfolio's
-     diversity (not raw parallelism) is what pays — two workers keep
-     the CPU-share penalty low on small machines. *)
+  (* Per-suite configuration: the homogeneous suites race four
+     different core-guided programs, the lineup of [P.default_specs 4];
+     the mixed complementary-hardness suite races core-guided against
+     branch and bound, where the portfolio's diversity (not raw
+     parallelism) is what pays — two workers keep the CPU-share penalty
+     low on small machines. *)
   let suites =
     [
       ( "industrial",
         subsample (to_wcnf (Suites.industrial ~scale:!scale ~seed:!seed ())),
-        [ M.Msu4_v2; M.Msu3; M.Oll; M.Msu4_v1 ],
-        List.map P.spec [ M.Msu4_v2; M.Msu3; M.Oll; M.Msu4_v1 ] );
+        [ M.Msu4_v2; M.Msu3; M.Oll; M.Wpm1 ],
+        List.map P.spec [ M.Msu4_v2; M.Msu3; M.Oll; M.Wpm1 ] );
       ( "debugging",
         subsample (to_wcnf (Suites.debugging ~scale:!scale ~seed:!seed ())),
-        [ M.Msu4_v2; M.Msu3; M.Oll; M.Msu4_v1 ],
-        List.map P.spec [ M.Msu4_v2; M.Msu3; M.Oll; M.Msu4_v1 ] );
+        [ M.Msu4_v2; M.Msu3; M.Oll; M.Wpm1 ],
+        List.map P.spec [ M.Msu4_v2; M.Msu3; M.Oll; M.Wpm1 ] );
       ( "mixed",
         subsample (to_wcnf (Suites.mixed ~scale:!scale ~seed:!seed ())),
         [ M.Msu4_v2; M.Msu3; M.Oll; M.Branch_bound ],

@@ -246,7 +246,6 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
               {
                 Proto.default_options with
                 Proto.algorithm;
-                encoding = Some encoding;
                 timeout;
                 max_conflicts = conflicts;
                 priority;
@@ -435,9 +434,11 @@ let encoding =
     & opt encoding_conv Card.Sortnet
     & info [ "e"; "encoding" ] ~docv:"ENC"
         ~doc:
-          "Cardinality encoding of the cost bound that $(b,--verify)'s \
-           optimality probe refutes: bdd, sortnet, seqcounter, totalizer, \
-           binomial.  The solving algorithms do not read it.")
+          "Sets the certifier's encoding: the cardinality encoding of the \
+           cost bound that $(b,--verify)'s optimality probe refutes (bdd, \
+           sortnet, seqcounter, totalizer, binomial).  The solving \
+           algorithms do not read it, and with $(b,--connect) it stays \
+           local.")
 
 let timeout =
   Arg.(
@@ -561,10 +562,11 @@ let connect =
         ~doc:
           "Client mode: send the instance to the $(b,mserve) daemon listening \
            on this Unix-domain socket instead of solving in-process.  \
-           $(b,--algorithm), $(b,--encoding), $(b,--timeout) and \
-           $(b,--conflicts) travel with the request; Ctrl-C cancels the \
-           remote job (salvaged bounds still come back).  $(b,--verify) \
-           certifies the returned result locally.  The service cannot \
+           $(b,--algorithm), $(b,--timeout) and $(b,--conflicts) travel \
+           with the request; Ctrl-C cancels the remote job (salvaged \
+           bounds still come back).  $(b,--verify) certifies the returned \
+           result locally, with $(b,--encoding) as the certifier's \
+           encoding.  The service cannot \
            honour $(b,--portfolio), $(b,--incomplete), $(b,--no-inprocess), \
            $(b,--no-core-geq1), $(b,--memory-mb) or $(b,--propagations); \
            each is a usage error here.")

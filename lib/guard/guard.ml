@@ -102,7 +102,12 @@ let cancel_current () =
   | Some g -> trip g Cancelled
   | None -> cancel_pending := true
 
+(* A forked child starts with no target: a guard the parent registered
+   for its own solve is not the child's, and tripping it would swallow
+   the child's first cancellation. *)
 let install_sigterm_handler () =
+  cancel_target := None;
+  cancel_pending := false;
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> cancel_current ()))
 let conflicts g = g.conflicts
 let propagations g = g.propagations

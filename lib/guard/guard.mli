@@ -128,8 +128,10 @@ val cancel_current : unit -> unit
     yet, the request is remembered for the next {!set_cancel_target}. *)
 
 val install_sigterm_handler : unit -> unit
-(** Route SIGTERM to {!cancel_current}.  Call only in a forked child
-    that owns the process (never in a suite/portfolio parent). *)
+(** Route SIGTERM to {!cancel_current}, forgetting any target or
+    pending cancellation inherited from the parent.  Call only in a
+    forked child that owns the process (never in a suite/portfolio
+    parent). *)
 
 (** Best-bounds cell shared by an algorithm and its supervisor.
 

@@ -37,34 +37,16 @@ let abort_reason_to_string = function
 
 let is_crash = function Aborted { why = Crash _; _ } -> true | _ -> false
 
-(* One supervised in-process attempt.  The guard is created here (not
-   inside the algorithm) so its tripped reason is readable afterwards
-   and classifies the abort.  [resume] seeds the solve from a previous
-   attempt's checkpoint; [checkpoint_fd] streams this attempt's own
-   checkpoints out (forked workers point it at a pipe). *)
-let attempt ?resume ?checkpoint_fd ~timeout ~conflict_budget algorithm wcnf =
+(* One supervised attempt.  [resume] seeds the solve from a previous
+   attempt's checkpoint; with [up] (a forked worker's pipe) the solve
+   streams its own checkpoints there.  Returns the bracket it ended with
+   (and the model backing its ub) for the next attempt and the salvage. *)
+let attempt ?resume ?up ~timeout ~conflict_budget algorithm wcnf =
   let t0 = Unix.gettimeofday () in
-  let guard =
-    Guard.create ~deadline:(t0 +. timeout) ?max_conflicts:conflict_budget ()
+  let result, tripped =
+    Worker.solve ?up ?resume ?max_conflicts:conflict_budget ~deadline:(t0 +. timeout)
+      algorithm wcnf
   in
-  let cell = Guard.Progress.create () in
-  (match checkpoint_fd with
-  | Some fd -> Guard.set_ticker guard (Checkpoint.writer fd cell)
-  | None -> ());
-  let config =
-    {
-      Types.default_config with
-      Types.deadline = t0 +. timeout;
-      max_conflicts = conflict_budget;
-      guard = Some guard;
-      progress = Some cell;
-      resume;
-    }
-  in
-  (* A SIGTERM from the parent's kill ladder trips this guard, so the
-     solve unwinds with its current bounds instead of dying bound-less. *)
-  Guard.set_cancel_target guard;
-  let result = Maxsat.solve_supervised ~config algorithm wcnf in
   let time = Float.min (Unix.gettimeofday () -. t0) timeout in
   let outcome =
     match result.Types.outcome with
@@ -72,7 +54,7 @@ let attempt ?resume ?checkpoint_fd ~timeout ~conflict_budget algorithm wcnf =
     | Types.Hard_unsat -> Unsat_hard
     | Types.Bounds { lb; ub } ->
         let why =
-          match Guard.tripped guard with
+          match tripped with
           | Some Guard.Conflicts -> Out_of_conflicts
           | Some Guard.Propagations -> Out_of_propagations
           | Some Guard.Memory -> Out_of_memory
@@ -81,201 +63,33 @@ let attempt ?resume ?checkpoint_fd ~timeout ~conflict_budget algorithm wcnf =
         Aborted { why; lb; ub }
     | Types.Crashed { reason; lb; ub } -> Aborted { why = Crash reason; lb; ub }
   in
-  (outcome, time, Checkpoint.of_cell cell)
+  let lb, ub = Types.outcome_bounds result.Types.outcome in
+  ((outcome, time), { Checkpoint.empty with lb; ub; model = result.Types.model })
 
-(* ---------------- process isolation ---------------- *)
+(* Run [body] in a forked worker under the ladder, which starts at
+   [timeout + grace]; returns its value (a crash becomes a [Crash]
+   abort) and the newest checkpoint it streamed — the only progress
+   that survives a SIGKILLed child. *)
+let isolated ~timeout ~grace body =
+  let w = Worker.spawn ~deadline:(Unix.gettimeofday () +. timeout) ~grace body in
+  let res =
+    match Worker.wait w with
+    | Ok r -> r
+    | Error reason -> (Aborted { why = Crash reason; lb = 0; ub = None }, timeout)
+  in
+  (res, Worker.checkpoint w)
 
-module Subproc = struct
-  (* Fork/Marshal plumbing shared with the portfolio: results travel
-     through a temp file (a pipe could deadlock past the 64K kernel
-     buffer); cancellation is a ladder — SIGTERM trips the child's
-     guard so it can flush the bounds it computed, SIGKILL is the
-     backstop for a child that no longer polls. *)
-
-  let flush_grace grace = Float.max 0.25 (0.5 *. grace)
-
-  let write_result tmp (result : ('a, string) result) =
-    try
-      let oc = open_out_bin tmp in
-      Marshal.to_channel oc result [];
-      close_out oc
-    with _ -> ()
-
-  let read_result tmp : ('a, string) result option =
-    try
-      let ic = open_in_bin tmp in
-      let r = (Marshal.from_channel ic : ('a, string) result) in
-      close_in ic;
-      Some r
-    with _ -> None
-
-  let kill pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
-
-  (* Child-side preamble: route SIGTERM to the guard of the solve this
-     process is about to run, with a SIGALRM hard backstop in case the
-     child stops polling entirely.  SIGPIPE is ignored so a checkpoint
-     write to a dead parent surfaces as EPIPE (handled) not death. *)
-  let child_setup ~alarm_after () =
-    Msu_guard.Guard.install_sigterm_handler ();
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    if Float.is_finite alarm_after then
-      ignore (Unix.alarm (int_of_float (ceil alarm_after) + 1))
-
-  (* Reap [pid] with exponential backoff (the parent has nothing else to
-     do, but a 5 ms busy-wait for a 60 s run burns 12k wakeups): sleeps
-     double up to 50 ms, clipped so ladder deadlines are still hit
-     promptly.  At [term_at] the child gets SIGTERM and [flush] seconds
-     to write its partial result; then SIGKILL.  [drain] runs on every
-     wakeup (the checkpoint-pipe pump).  Every blocking call retries on
-     EINTR: a signal landing mid-backoff (SIGCHLD, an itimer, a racing
-     ladder in another subprocess) must not abort the reap. *)
-  let wait_with_ladder ?(drain = fun () -> ()) ~term_at ~flush pid =
-    let waitpid_nohang pid =
-      try Unix.waitpid [ Unix.WNOHANG ] pid
-      with Unix.Unix_error (Unix.EINTR, _, _) -> (0, Unix.WEXITED 0)
-    in
-    let rec waitpid_block pid =
-      try Unix.waitpid [] pid
-      with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_block pid
-    in
-    let sleepf d =
-      try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    let kill_at = term_at +. flush in
-    let rec wait ~termed ~killed ~delay =
-      drain ();
-      match waitpid_nohang pid with
-      | 0, _ ->
-          let now = Unix.gettimeofday () in
-          if (not killed) && now > kill_at then begin
-            kill pid Sys.sigkill;
-            (* A killed child cannot linger: block until reaped. *)
-            let _, status = waitpid_block pid in
-            drain ();
-            status
-          end
-          else if (not termed) && now > term_at then begin
-            kill pid Sys.sigterm;
-            wait ~termed:true ~killed ~delay:0.002
-          end
-          else begin
-            let next_event = if termed then kill_at else term_at in
-            let pause = Float.min delay (Float.max 0.001 (next_event -. now)) in
-            sleepf pause;
-            wait ~termed ~killed ~delay:(Float.min (2. *. delay) 0.05)
-          end
-      | _, status ->
-          drain ();
-          status
-    in
-    wait ~termed:false ~killed:false ~delay:0.001
-end
-
-(* Run the attempt in a forked child.  The parent's ladder starts at
-   [timeout + grace]: SIGTERM first (the child's guard trips, the solve
-   unwinds and the partial bounds reach the temp file — previously an
-   immediate SIGKILL discarded them), SIGKILL after a short flush
-   window; a SIGALRM backstop in the child covers a parent that dies. *)
-(* Like {!run_isolated} below, but the thunk gets the write end of a
-   checkpoint pipe: the parent pumps it while reaping and returns the
-   newest intact checkpoint alongside the child's result — the only
-   progress that survives a SIGKILLed child. *)
-let run_isolated_ck ~timeout ~grace thunk =
-  let tmp = Filename.temp_file "msu-run" ".bin" in
-  let finally () = try Sys.remove tmp with Sys_error _ -> () in
-  Fun.protect ~finally (fun () ->
-      let rd, wr = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-          (* Child: run, marshal, die without flushing inherited channels. *)
-          Unix.close rd;
-          Subproc.child_setup
-            ~alarm_after:(timeout +. (2. *. grace) +. Subproc.flush_grace grace)
-            ();
-          let result =
-            try Ok (thunk wr) with e -> Error (Printexc.to_string e)
-          in
-          Subproc.write_result tmp (result : ((outcome * float), string) result);
-          Unix._exit 0
-      | pid ->
-          Unix.close wr;
-          Unix.set_nonblock rd;
-          let reader = Checkpoint.reader () in
-          let buf = Bytes.create 4096 in
-          let rec drain () =
-            match Unix.read rd buf 0 (Bytes.length buf) with
-            | 0 -> ()
-            | n ->
-                Checkpoint.feed reader (Bytes.sub_string buf 0 n);
-                drain ()
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                ()
-          in
-          let status =
-            Subproc.wait_with_ladder ~drain
-              ~term_at:(Unix.gettimeofday () +. timeout +. grace)
-              ~flush:(Subproc.flush_grace grace) pid
-          in
-          Unix.close rd;
-          let crashed reason =
-            (Aborted { why = Crash reason; lb = 0; ub = None }, timeout)
-          in
-          let res =
-            match (status, Subproc.read_result tmp) with
-            | Unix.WEXITED 0, Some (Ok r) -> r
-            | Unix.WEXITED 0, Some (Error reason) -> crashed reason
-            | Unix.WEXITED 0, None -> crashed "child produced no result"
-            | Unix.WEXITED n, _ -> crashed (Printf.sprintf "child exit %d" n)
-            | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
-                crashed (Printf.sprintf "child killed (signal %d)" n)
-          in
-          (res, Checkpoint.latest reader))
-
-let run_isolated ~timeout ~grace thunk =
-  fst (run_isolated_ck ~timeout ~grace (fun _fd -> thunk ()))
-
-(* Fold a checkpointed bracket into an aborted outcome; collapse to
-   [Solved] only when the lower bound meets an upper bound backed by a
-   model that re-verifies against this instance (the dying process may
-   have been corrupted after writing the frame). *)
-let merge_checkpoint wcnf outcome (ck : Checkpoint.t) =
-  match outcome with
-  | Solved _ | Unsat_hard -> outcome
-  | Aborted { why; lb; ub } ->
-      let lb = max lb ck.Checkpoint.lb in
-      let ub =
-        match (ub, ck.Checkpoint.ub) with
-        | Some a, Some b -> Some (min a b)
-        | (Some _ as u), None | None, (Some _ as u) -> u
-        | None, None -> None
-      in
-      let verified_incumbent =
-        match Msu_maxsat.Common.checkpoint_incumbent wcnf ck with
-        | Some (u, _) -> Some u
-        | None -> None
-      in
-      (match (ub, verified_incumbent) with
-      | Some u, Some v when lb >= u && v <= u -> Solved u
-      | _ -> Aborted { why; lb; ub })
+let run_isolated ~timeout ~grace thunk = fst (isolated ~timeout ~grace (fun _ -> thunk ()))
 
 let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry) ?conflict_budget
     ~timeout algorithm (instance, family, wcnf) =
   let once ~resume budget =
     if isolate then
-      run_isolated_ck ~timeout ~grace (fun fd ->
-          let outcome, time, _ck =
-            attempt ?resume ~checkpoint_fd:fd ~timeout ~conflict_budget:budget
-              algorithm wcnf
-          in
-          (outcome, time))
-    else begin
-      let outcome, time, ck =
-        attempt ?resume ~timeout ~conflict_budget:budget algorithm wcnf
-      in
-      ((outcome, time), Some ck)
-    end
+      isolated ~timeout ~grace (fun up ->
+          fst (attempt ?resume ~up ~timeout ~conflict_budget:budget algorithm wcnf))
+    else
+      let res, ck = attempt ?resume ~timeout ~conflict_budget:budget algorithm wcnf in
+      (res, Some ck)
   in
   let rec go n ~resume budget acc =
     let (outcome, time), ck = once ~resume budget in
@@ -299,8 +113,17 @@ let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry) ?conflict_budg
   in
   let outcome, time, attempts, ck = go 1 ~resume:None conflict_budget Checkpoint.empty in
   (* Exhausted retries still report the best bracket seen anywhere, not
-     just the final attempt's. *)
-  let outcome = merge_checkpoint wcnf outcome ck in
+     just the final attempt's; it collapses to [Solved] only on an
+     upper bound whose model re-verifies against the instance. *)
+  let outcome =
+    match outcome with
+    | Aborted { why; lb; ub } -> (
+        match Worker.salvage wcnf ck ~lb ~ub ~model:None with
+        | Types.Optimum u, _ -> Solved u
+        | Types.Bounds { lb; ub }, _ -> Aborted { why; lb; ub }
+        | (Types.Hard_unsat | Types.Crashed _), _ -> outcome)
+    | Solved _ | Unsat_hard -> outcome
+  in
   let time = match outcome with Aborted _ -> timeout | _ -> time in
   { instance; family; algorithm; outcome; time; attempts }
 

@@ -3,7 +3,8 @@ module Fault = Msu_guard.Fault
 module Obs = Msu_obs.Obs
 module T = Msu_maxsat.Types
 module M = Msu_maxsat.Maxsat
-module Subproc = Msu_harness.Runner.Subproc
+module Worker = Msu_harness.Worker
+module Ck = Msu_guard.Checkpoint
 module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 
@@ -64,8 +65,8 @@ type result = {
                                              trusting it
                                 "c <lbd> <lits>"  share-safe learnt
                                              clause (packed literals)
-                                "e <event>"  observability event
-                                             (Obs.Event.to_wire form)
+                                "e <event>"  observability event (the
+                                             Worker module forwards it)
    Parent -> worker (down pipe): "b <lb> <ub>"  best global bounds
                                  (<ub> = -1 when none known yet), and
                                  rebroadcast "c" frames from peers.
@@ -158,17 +159,7 @@ module Wire = struct
     Array.sort compare s;
     String.concat "," (Array.to_list (Array.map string_of_int s))
 
-  (* Complete lines accumulated in [buf]; the trailing partial line (if
-     any) stays buffered. *)
-  let take_lines buf =
-    let s = Buffer.contents buf in
-    match String.rindex_opt s '\n' with
-    | None -> []
-    | Some i ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-        String.split_on_char '\n' (String.sub s 0 i)
-        |> List.filter (fun l -> l <> "")
+  let take_lines = Worker.take_lines
 
   (* Per-peer output buffer for a nonblocking pipe: a short write or
      EAGAIN keeps the unsent tail queued, and the next [flush] (on the
@@ -222,12 +213,6 @@ module Wire = struct
   end
 end
 
-let send_line fd s =
-  let b = Bytes.of_string (s ^ "\n") in
-  try ignore (Unix.write fd b 0 (Bytes.length b)) with Unix.Unix_error _ -> ()
-
-let take_lines = Wire.take_lines
-
 (* Parent-side sharing metrics (the workers are forked, so their
    process-local registries never reach this process). *)
 let m_shared =
@@ -246,26 +231,12 @@ let m_incumbents =
   Obs.Metrics.counter ~help:"streamed models accepted after parent re-costing"
     "msu_shared_incumbents_total"
 
-(* Worker-exit split (the "label" is in the name: the registry has no
-   label dimension).  Registration is idempotent, so the service reaps
-   into the same pair. *)
-let m_exit_normal =
-  Obs.Metrics.counter ~help:"workers that exited normally (WEXITED)"
-    "msu_worker_exit_total_normal"
-
-let m_exit_signaled =
-  Obs.Metrics.counter ~help:"workers killed by a signal (WSIGNALED/WSTOPPED)"
-    "msu_worker_exit_total_signaled"
-
 (* ---------------- worker (child process) ---------------- *)
 
-let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
-    ~seed_ub ~trace_ctx sp w =
-  (* First thing in the child: drop the monotonic clamp inherited from
-     the parent, or our first timestamps (and span durations) would be
-     pinned to whatever the parent last read. *)
-  Obs.after_fork ();
-  (match sp.fault with Some k -> Fault.arm k | None -> ());
+(* The worker's body: bound publication and broadcast intake on the
+   guard's ticker, clause-sharing endpoints, and the solve itself. *)
+let run_worker ~deadline ~max_conflicts ~down ~index ~observe ~share ~seed_ub
+    ~trace_ctx sp w up =
   (* Kill-mid-flush harness: the frame's trailing newline never leaves
      the worker and no report file is written, so the bound survives
      only if the parent's EOF residual flush parses the torn line. *)
@@ -274,99 +245,79 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
     Unix._exit 2
   end;
   Unix.set_nonblock down;
-  let guard = G.create ~deadline ?max_conflicts () in
-  G.set_cancel_target guard;
-  (* The parent's pre-seeded upper bound goes straight into the guard
-     before the solve starts — same channel a warm-resume checkpoint
-     uses.  Waiting for the first "b" broadcast instead would let the
-     solver burn its opening iterations (often the expensive ones)
-     without the bound. *)
-  (match seed_ub with
-  | Some u -> G.install_bounds guard ~lb:0 ~ub:(Some u)
-  | None -> ());
-  let cell = G.Progress.create () in
   let inbuf = Buffer.create 128 in
   let chunk = Bytes.create 4096 in
-  let sent_lb = ref (-1) and sent_ub = ref max_int in
-  let publish () =
-    let lb = G.Progress.lb cell in
-    if lb > !sent_lb then begin
-      sent_lb := lb;
-      send_line up ("l " ^ string_of_int lb)
-    end;
-    match G.Progress.ub cell with
-    | Some u when u < !sent_ub ->
-        sent_ub := u;
-        send_line up ("u " ^ string_of_int u);
-        (* Stream the incumbent itself alongside the bound: the parent
-           re-costs it, so a model-backed ub survives even a SIGKILL and
-           can close a cross-worker gap the bare "u" frame cannot. *)
-        (match G.Progress.model cell with
-        | Some m -> send_line up (Wire.model_line ~cost:u m)
-        | None -> ())
-    | _ -> ()
-  in
   (* Foreign clauses received from the parent, drained by the solver at
      its next restart boundary (Solver.set_importer). *)
   let imports = ref [] in
-  let drain_broadcasts () =
-    let rec rd () =
-      match Unix.read down chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-          Buffer.add_subbytes inbuf chunk 0 n;
-          rd ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> ()
+  let ticker guard cell =
+    let sent_lb = ref (-1) and sent_ub = ref max_int in
+    let publish () =
+      let lb = G.Progress.lb cell in
+      if lb > !sent_lb then begin
+        sent_lb := lb;
+        Worker.send up ("l " ^ string_of_int lb)
+      end;
+      match G.Progress.ub cell with
+      | Some u when u < !sent_ub ->
+          sent_ub := u;
+          Worker.send up ("u " ^ string_of_int u);
+          (* Stream the incumbent itself alongside the bound: the parent
+             re-costs it, so a model-backed ub survives even a SIGKILL
+             and can close a cross-worker gap the bare "u" frame
+             cannot. *)
+          (match G.Progress.model cell with
+          | Some m -> Worker.send up (Wire.model_line ~cost:u m)
+          | None -> ())
+      | _ -> ()
     in
-    rd ();
-    take_lines inbuf
-    |> List.iter (fun line ->
-           match Wire.parse_bounds line with
-           | Some (lb, ub) -> G.install_bounds guard ~lb ~ub
-           | None -> (
-               if share then
-                 match Wire.parse_clause line with
-                 | Some (_, lits) ->
-                     imports := Array.map Lit.of_int_unsafe lits :: !imports
-                 | None -> ()))
-  in
-  let ticker () =
-    publish ();
-    drain_broadcasts ();
-    (* Stop as soon as the global bracket collapses: combining our own
-       bounds with the externally proved ones, lb = ub means the
-       portfolio as a whole is done and the parent has (or will get)
-       the winning model from whoever proved the ub. *)
-    let lb = max (G.Progress.lb cell) (G.external_lb guard) in
-    let ub =
-      match (G.Progress.ub cell, G.external_ub guard) with
-      | Some a, Some b -> min a b
-      | Some a, None | None, Some a -> a
-      | None, None -> max_int
+    let drain_broadcasts () =
+      let rec rd () =
+        match Unix.read down chunk 0 (Bytes.length chunk) with
+        | 0 -> ()
+        | n ->
+            Buffer.add_subbytes inbuf chunk 0 n;
+            rd ()
+        | exception Unix.Unix_error _ -> ()
+      in
+      rd ();
+      Worker.take_lines inbuf
+      |> List.iter (fun line ->
+             match Wire.parse_bounds line with
+             | Some (lb, ub) -> G.install_bounds guard ~lb ~ub
+             | None -> (
+                 if share then
+                   match Wire.parse_clause line with
+                   | Some (_, lits) ->
+                       imports := Array.map Lit.of_int_unsafe lits :: !imports
+                   | None -> ()))
     in
-    if ub < max_int && lb >= ub then G.trip guard G.Cancelled
-  in
-  G.set_ticker guard ticker;
-  (* Event forwarding rides the existing up pipe: each event becomes one
-     "e <wire>" line, demultiplexed in the parent by its solve id (the
-     worker's spec index). *)
-  let sink =
-    if observe then Obs.of_fn (fun ev -> send_line up ("e " ^ Obs.Event.to_wire ev))
-    else Obs.null
+    fun () ->
+      publish ();
+      drain_broadcasts ();
+      (* Stop as soon as the global bracket collapses: combining our own
+         bounds with the externally proved ones, lb = ub means the
+         portfolio as a whole is done and the parent has (or will get)
+         the winning model from whoever proved the ub. *)
+      let lb = max (G.Progress.lb cell) (G.external_lb guard) in
+      let ub =
+        match (G.Progress.ub cell, G.external_ub guard) with
+        | Some a, Some b -> min a b
+        | Some a, None | None, Some a -> a
+        | None, None -> max_int
+      in
+      if ub < max_int && lb >= ub then G.trip guard G.Cancelled
   in
   (* Clause sharing endpoints: exports go straight up the pipe (the up
      fd is blocking, so frames are never torn); imports come from the
      broadcast queue filled above. *)
-  let share_endpoints =
+  let share =
     if share then
       Some
         {
           T.sh_export =
             (fun ~lbd lits ->
-              send_line up (Wire.clause_line ~lbd (Array.map Lit.to_int lits)));
+              Worker.send up (Wire.clause_line ~lbd (Array.map Lit.to_int lits)));
           T.sh_drain =
             (fun () ->
               let l = !imports in
@@ -375,65 +326,32 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
         }
     else None
   in
-  (* Cross-process trace propagation: the tracer is created with the
-     coordinator's trace id and request span as anchor, so every span
-     this worker sends up the pipe already carries the right lineage —
-     the parent just forwards the frames. *)
-  let spans =
-    match trace_ctx with
-    | Some (trace, parent) -> Obs.Span.create ~trace ~parent ~sink ~id:index ()
-    | None -> Obs.Span.disabled
-  in
-  let config =
-    {
-      T.default_config with
-      T.deadline;
-      max_conflicts;
-      sink;
-      solve_id = index;
-      guard = Some guard;
-      progress = Some cell;
-      share = share_endpoints;
-      spans;
-    }
-  in
-  (* Nothing may escape a forked worker: an exception unwinding past
-     this frame would run the parent's continuation (the caller's whole
-     program) a second time in the child.  Trap everything, write what
-     we have, and _exit. *)
-  let result =
-    try
-      let r = M.solve_supervised ~config sp.algorithm w in
-      (* Terminal publication: the parent learns the final bounds from
-         the pipe even before it reaps us and reads the full report. *)
-      G.Progress.note_lb cell (fst (T.outcome_bounds r.T.outcome));
-      publish ();
-      (Ok r : (T.result, string) Stdlib.result)
-    with e -> Error (Printexc.to_string e)
-  in
-  Subproc.write_result tmp result;
-  Unix._exit (match result with Ok _ -> 0 | Error _ -> 2)
+  (* The parent's pre-seeded upper bound goes into the guard before the
+     solve starts, the way a warm-resume checkpoint does.  Waiting for
+     the first "b" broadcast instead would let the solver burn its
+     opening iterations (often the expensive ones) without the bound. *)
+  let resume = Option.map (fun u -> { Ck.empty with Ck.ub = Some u }) seed_ub in
+  fst
+    (Worker.solve ~up ~events:observe ?trace:trace_ctx ~ticker ?share ?resume
+       ?max_conflicts ~id:index ~deadline sp.algorithm w)
 
 (* ---------------- parent ---------------- *)
 
 type worker_state = {
   st_index : int;
   st_spec : spec;
-  st_pid : int;
-  st_up : Unix.file_descr;  (* read end of worker's up pipe *)
+  st_worker : T.result Worker.t;
   st_down : Unix.file_descr;  (* write end of worker's down pipe *)
-  st_tmp : string;
-  st_buf : Buffer.t;
   st_out : Wire.Outbuf.t;  (* unsent down-pipe bytes, flushed on select *)
   mutable st_lb : int;  (* best bounds this worker published *)
   mutable st_ub : int;  (* max_int = none *)
   mutable st_model : (int * bool array) option;
       (* best streamed incumbent, re-costed by the parent *)
-  mutable st_alive : bool;
-  mutable st_eof : bool;
   mutable st_report : (T.result, string) Stdlib.result option;
-  mutable st_status : Unix.process_status option;
+      (* set at the reap *)
 }
+
+let alive st = st.st_report = None
 
 let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     ?(sink = Obs.null) ?(spans = Obs.Span.disabled) ?(handle_sigint = false)
@@ -479,14 +397,11 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     else None
   in
   let deadline = match timeout with None -> infinity | Some t -> t0 +. t in
-  let flush = Subproc.flush_grace grace in
   let term_at = deadline +. grace in
   (* A worker that died mid-broadcast must not kill the parent. *)
   let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe)
   @@ fun () ->
-  (* All pipes are created before any fork so every child can close the
-     ends that belong to its siblings. *)
   let observe = not (Obs.is_null sink) in
   (* Trace context handed to every worker at fork time; the anchor is
      the caller's request span, so worker spans re-parent under it. *)
@@ -495,80 +410,9 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
       Some (Obs.Span.trace_id spans, Obs.Span.current spans)
     else None
   in
-  let plumbing =
-    List.mapi
-      (fun index sp ->
-        let down_rd, down_wr = Unix.pipe () in
-        let up_rd, up_wr = Unix.pipe () in
-        (index, sp, Filename.temp_file "msu-portfolio" ".bin", down_rd, down_wr,
-         up_rd, up_wr))
-      specs
-  in
-  (* Children inherit the SIGTERM→cancel disposition from the fork
-     itself, so a cancellation arriving before a child finishes its own
-     setup still trips its guard instead of killing it outright (the
-     parent's disposition is restored once every worker is forked; with
-     no cancel target registered the inherited handler is a no-op until
-     the worker registers its guard). *)
-  let old_sigterm =
-    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> G.cancel_current ()))
-  in
   (* Mutable: the lazy SLS rider (below) appends a late-forked worker
      while the pump is already running. *)
-  let states =
-    ref
-    @@ List.map
-      (fun (index, sp, tmp, down_rd, down_wr, up_rd, up_wr) ->
-        match Unix.fork () with
-        | 0 ->
-            (* When the parent fields Ctrl-C for the whole portfolio,
-               the terminal's SIGINT must not also kill the workers
-               directly — the parent's SIGTERM ladder is what lets them
-               flush their partial bounds first. *)
-            if handle_sigint then Sys.set_signal Sys.sigint Sys.Signal_ignore;
-            List.iter
-              (fun (_, _, _, dr, dw, ur, uw) ->
-                List.iter
-                  (fun fd ->
-                    if fd <> down_rd && fd <> up_wr then
-                      try Unix.close fd with Unix.Unix_error _ -> ())
-                  [ dr; dw; ur; uw ])
-              plumbing;
-            Subproc.child_setup
-              ~alarm_after:
-                (match timeout with
-                | None -> infinity
-                | Some t -> t +. (2. *. grace) +. flush)
-              ();
-            run_worker ~deadline ~max_conflicts ~down:down_rd ~up:up_wr ~tmp ~index
-              ~observe ~share:share_clauses
-              ~seed_ub:(Option.map fst seed_incumbent)
-              ~trace_ctx sp w
-        | pid ->
-            Unix.close down_rd;
-            Unix.close up_wr;
-            Unix.set_nonblock down_wr;
-            Obs.emit sink ~id:index (Obs.Event.Worker_spawn { pid });
-            {
-              st_index = index;
-              st_spec = sp;
-              st_pid = pid;
-              st_up = up_rd;
-              st_down = down_wr;
-              st_tmp = tmp;
-              st_buf = Buffer.create 128;
-              st_out = Wire.Outbuf.create ();
-              st_lb = 0;
-              st_ub = max_int;
-              st_model = None;
-              st_alive = true;
-              st_eof = false;
-              st_report = None;
-              st_status = None;
-            })
-      plumbing
-  in
-  Sys.set_signal Sys.sigterm old_sigterm;
+  let states = ref [] in
   let num_specs = List.length specs in
   let best_lb = ref 0
   and best_ub =
@@ -579,19 +423,20 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
   (match seed_incumbent with
   | Some (c, _) -> say "c [portfolio] sls pre-seed -> ub %d (installed at fork)" c
   | None -> ());
+  let known_ub () = if !best_ub = max_int then None else Some !best_ub in
   let cancel_started = ref None in
   let cancel_all why =
     if !cancel_started = None then begin
       say "c [portfolio] cancelling remaining workers (%s)" why;
       cancel_started := Some (Unix.gettimeofday ());
-      List.iter
-        (fun st -> if st.st_alive then Subproc.kill st.st_pid Sys.sigterm)
-        !states
+      List.iter (fun st -> if alive st then Worker.terminate st.st_worker) !states
     end
   in
   (* Ctrl-C in the parent cancels the whole race through the ladder:
      workers get SIGTERM, flush their bounds, and the normal merge
-     still runs — no orphaned children, no lost partial bounds. *)
+     still runs — no orphaned children, no lost partial bounds.  The
+     handler is in place before the first fork, which is what tells
+     the workers to ignore the terminal's SIGINT. *)
   let old_sigint =
     if handle_sigint then
       Some
@@ -604,6 +449,7 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     | Some h -> Sys.set_signal Sys.sigint h
     | None -> ()
   in
+  Fun.protect ~finally:restore_sigint @@ fun () ->
   (* All parent->worker traffic goes through the per-worker out-buffer:
      the down pipes are nonblocking, so a full pipe (or a short write)
      parks the tail in the buffer and the pump's writable-select round
@@ -613,11 +459,8 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     Wire.Outbuf.flush st.st_out st.st_down
   in
   let broadcast () =
-    let line =
-      Wire.bounds_line ~lb:!best_lb
-        ~ub:(if !best_ub = max_int then None else Some !best_ub)
-    in
-    List.iter (fun st -> if st.st_alive then send st line) !states
+    let line = Wire.bounds_line ~lb:!best_lb ~ub:(known_ub ()) in
+    List.iter (fun st -> if alive st then send st line) !states
   in
   (* Fold worker bounds into the global bracket; rebroadcast on
      improvement and start cancellation once the bracket collapses. *)
@@ -697,81 +540,61 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
               let frame = Wire.clause_line ~lbd lits in
               List.iter
                 (fun st' ->
-                  if st'.st_alive && st'.st_index <> st.st_index then
-                    send st' frame)
+                  if alive st' && st'.st_index <> st.st_index then send st' frame)
                 !states
             end
         | Some _ -> Obs.Metrics.inc m_shared_rej
         | None -> Obs.Metrics.inc m_shared_rej)
-    | "e" :: _ -> (
-        (* Forwarded child event: re-emit into the parent's
-           sink with the child's own id and timestamp. *)
-        let wire = String.sub line 2 (String.length line - 2) in
-        match Obs.Event.of_wire wire with
-        | Some ev -> Obs.feed sink ev
-        | None -> ())
     | _ -> ()
   in
-  let read_worker st =
-    let chunk = Bytes.create 1024 in
-    match Unix.read st.st_up chunk 0 (Bytes.length chunk) with
-    | 0 ->
-        st.st_eof <- true;
-        (* EOF flush: a worker killed mid-write leaves its last frame
-           without the trailing newline — it is still a complete
-           prefix-validated line more often than not, and dropping it
-           here would lose the final certified bound. *)
-        let rest = Buffer.contents st.st_buf in
-        Buffer.clear st.st_buf;
-        if rest <> "" then
-          String.split_on_char '\n' rest
-          |> List.iter (fun l -> if l <> "" then handle_line st l)
-    | n ->
-        Buffer.add_subbytes st.st_buf chunk 0 n;
-        take_lines st.st_buf |> List.iter (handle_line st)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
-  in
   let reap st =
-    match Unix.waitpid [ Unix.WNOHANG ] st.st_pid with
-    | 0, _ -> ()
-    | _, status ->
-        st.st_alive <- false;
-        st.st_status <- Some status;
-        (* Drain the pipe all the way to EOF before reporting the exit:
-           the event stream stays causally ordered, and a frame torn by
-           the death — bytes with no trailing newline — still reaches
-           the EOF residual flush below.  A single read is not enough:
-           it can return the torn bytes without the EOF, and a dead
-           worker never re-enters the select set, so the residual would
-           sit in the buffer forever.  Looping is safe because the child
-           was the pipe's last writer, so reads return data then 0. *)
-        while not st.st_eof do
-          read_worker st
-        done;
-        let code, signaled =
-          match status with
-          | Unix.WEXITED n -> (n, false)
-          | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, true)
-        in
-        Obs.Metrics.inc (if signaled then m_exit_signaled else m_exit_normal);
-        Obs.emit sink ~id:st.st_index
-          (Obs.Event.Worker_exit { pid = st.st_pid; status = code; signaled });
-        st.st_report <- Subproc.read_result st.st_tmp;
-        (match st.st_report with
-        | Some (Ok r) -> (
+    match Worker.poll ~on_line:(handle_line st) st.st_worker with
+    | None -> ()
+    | Some report -> (
+        st.st_report <- Some report;
+        match report with
+        | Ok r -> (
             let lb, ub = T.outcome_bounds r.T.outcome in
             note_bounds st lb ub;
             match r.T.outcome with
             | T.Optimum _ | T.Hard_unsat ->
                 cancel_all ("decided by " ^ st.st_spec.label)
             | T.Bounds _ | T.Crashed _ -> ())
-        | Some (Error _) | None -> ())
-    | exception Unix.Unix_error _ ->
-        st.st_alive <- false;
-        st.st_report <- Subproc.read_result st.st_tmp
+        | Error _ -> ())
   in
+  (* One fork per spec, plus the rider.  The child closes the down pipes
+     of its siblings (the Worker closes their up pipes) and starts from
+     the current best upper bound. *)
+  let spawn index sp =
+    let down_rd, down_wr = Unix.pipe () in
+    let close = down_wr :: List.map (fun st -> st.st_down) !states in
+    let seed_ub = known_ub () in
+    let worker =
+      Worker.spawn ~close ~sink ~id:index ?fault:sp.fault ~deadline ~grace
+        (run_worker ~deadline ~max_conflicts ~down:down_rd ~index ~observe
+           ~share:share_clauses ~seed_ub ~trace_ctx sp w)
+    in
+    Unix.close down_rd;
+    Unix.set_nonblock down_wr;
+    let st =
+      {
+        st_index = index;
+        st_spec = sp;
+        st_worker = worker;
+        st_down = down_wr;
+        st_out = Wire.Outbuf.create ();
+        st_lb = 0;
+        st_ub = max_int;
+        st_model = None;
+        st_report = None;
+      }
+    in
+    states := !states @ [ st ];
+    (* A cancel that fired while the lineup was still forking. *)
+    if !cancel_started <> None then Worker.terminate worker;
+    st
+  in
+  List.iteri (fun index sp -> ignore (spawn index sp)) specs;
   (* Lazy SLS rider.  Forked only if the race outlives the startup
      delay AND nobody holds a model-backed incumbent by then: an
      incomplete solver's one comparative advantage is finding a first
@@ -784,77 +607,11 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     else Float.min 0.5 (0.25 *. Float.max 0. (deadline -. t0))
   in
   let rider_spawned = ref (not sls_worker) in
-  let spawn_rider () =
-    let sp = spec M.Sls in
-    let index = num_specs in
-    let tmp = Filename.temp_file "msu-portfolio" ".bin" in
-    let down_rd, down_wr = Unix.pipe () in
-    let up_rd, up_wr = Unix.pipe () in
-    let siblings = !states in
-    (* Same SIGTERM-inheritance dance as the main fork loop: a cancel
-       racing the fork must trip the child's guard, not kill it raw. *)
-    let prev_sigterm =
-      Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> G.cancel_current ()))
-    in
-    match Unix.fork () with
-    | 0 ->
-        if handle_sigint then Sys.set_signal Sys.sigint Sys.Signal_ignore;
-        List.iter
-          (fun st ->
-            List.iter
-              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-              [ st.st_up; st.st_down ])
-          siblings;
-        (try Unix.close down_wr with Unix.Unix_error _ -> ());
-        (try Unix.close up_rd with Unix.Unix_error _ -> ());
-        Subproc.child_setup
-          ~alarm_after:
-            (match timeout with
-            | None -> infinity
-            | Some t -> t +. (2. *. grace) +. flush)
-          ();
-        run_worker ~deadline ~max_conflicts ~down:down_rd ~up:up_wr ~tmp ~index
-          ~observe ~share:share_clauses
-          ~seed_ub:(if !best_ub = max_int then None else Some !best_ub)
-          ~trace_ctx sp w
-    | pid ->
-        Sys.set_signal Sys.sigterm prev_sigterm;
-        Unix.close down_rd;
-        Unix.close up_wr;
-        Unix.set_nonblock down_wr;
-        Obs.emit sink ~id:index (Obs.Event.Worker_spawn { pid });
-        let st =
-          {
-            st_index = index;
-            st_spec = sp;
-            st_pid = pid;
-            st_up = up_rd;
-            st_down = down_wr;
-            st_tmp = tmp;
-            st_buf = Buffer.create 128;
-            st_out = Wire.Outbuf.create ();
-            st_lb = 0;
-            st_ub = max_int;
-            st_model = None;
-            st_alive = true;
-            st_eof = false;
-            st_report = None;
-            st_status = None;
-          }
-        in
-        states := !states @ [ st ];
-        say "c [portfolio] sls rider forked at +%.2fs"
-          (Unix.gettimeofday () -. t0);
-        (* Catch the rider up on the bracket it missed. *)
-        send st
-          (Wire.bounds_line ~lb:!best_lb
-             ~ub:(if !best_ub = max_int then None else Some !best_ub))
-  in
   let rec pump () =
     if
       (not !rider_spawned)
       && !cancel_started = None
-      && List.exists (fun st -> st.st_alive) !states
+      && List.exists alive !states
       && Unix.gettimeofday () -. t0 >= rider_delay
     then begin
       (* Decided once, at the delay boundary: incumbents only ever
@@ -863,36 +620,31 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
       if
         seed_incumbent = None
         && List.for_all (fun st -> st.st_model = None) !states
-      then spawn_rider ()
+      then begin
+        let st = spawn num_specs (spec M.Sls) in
+        say "c [portfolio] sls rider forked at +%.2fs" (Unix.gettimeofday () -. t0);
+        (* Catch the rider up on the bracket it missed. *)
+        send st (Wire.bounds_line ~lb:!best_lb ~ub:(known_ub ()))
+      end
     end;
-    List.iter (fun st -> if st.st_alive then reap st) !states;
-    if List.exists (fun st -> st.st_alive) !states then begin
-      let fds =
-        List.filter_map
-          (fun st -> if st.st_alive && not st.st_eof then Some st.st_up else None)
-          !states
-      in
-      let now = Unix.gettimeofday () in
-      let till_ladder =
-        match !cancel_started with
-        | Some t -> t +. flush -. now
-        | None -> term_at -. now
-      in
-      let tmo =
-        if Float.is_finite till_ladder then Float.min 0.05 (Float.max 0.0 till_ladder)
-        else 0.05
-      in
+    List.iter (fun st -> if alive st then reap st) !states;
+    if List.exists alive !states then begin
+      let fds = List.filter_map (fun st -> Worker.fd st.st_worker) !states in
       let wfds =
         List.filter_map
           (fun st ->
-            if st.st_alive && Wire.Outbuf.pending st.st_out then Some st.st_down
+            if alive st && Wire.Outbuf.pending st.st_out then Some st.st_down
             else None)
           !states
       in
-      (match Unix.select fds wfds [] tmo with
+      (match Unix.select fds wfds [] 0.05 with
       | readable, writable, _ ->
           List.iter
-            (fun st -> if List.mem st.st_up readable then read_worker st)
+            (fun st ->
+              match Worker.fd st.st_worker with
+              | Some fd when List.mem fd readable ->
+                  Worker.read ~on_line:(handle_line st) st.st_worker
+              | _ -> ())
             !states;
           List.iter
             (fun st ->
@@ -900,58 +652,36 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
                 Wire.Outbuf.flush st.st_out st.st_down)
             !states
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      let now = Unix.gettimeofday () in
-      (match !cancel_started with
-      | Some t ->
-          if now > t +. flush then
-            List.iter
-              (fun st -> if st.st_alive then Subproc.kill st.st_pid Sys.sigkill)
-              !states
-      | None -> if now > term_at then cancel_all "timeout");
+      if !cancel_started = None && Unix.gettimeofday () > term_at then
+        cancel_all "timeout";
+      List.iter (fun st -> Worker.tick st.st_worker) !states;
       pump ()
     end
   in
-  Fun.protect ~finally:restore_sigint pump;
+  pump ();
   List.iter
-    (fun st ->
-      (try Unix.close st.st_up with Unix.Unix_error _ -> ());
-      (try Unix.close st.st_down with Unix.Unix_error _ -> ());
-      try Sys.remove st.st_tmp with Sys_error _ -> ())
+    (fun st -> try Unix.close st.st_down with Unix.Unix_error _ -> ())
     !states;
   let elapsed = Unix.gettimeofday () -. t0 in
   (* ---- merge ---- *)
   let report_of st =
+    let report w_outcome w_time w_stats =
+      {
+        w_label = st.st_spec.label;
+        w_algorithm = st.st_spec.algorithm;
+        w_outcome;
+        w_time;
+        w_stats;
+      }
+    in
+    let crashed reason =
+      let ub = if st.st_ub = max_int then None else Some st.st_ub in
+      report (T.Crashed { reason; lb = st.st_lb; ub }) elapsed T.empty_stats
+    in
     match st.st_report with
-    | Some (Ok r) ->
-        {
-          w_label = st.st_spec.label;
-          w_algorithm = st.st_spec.algorithm;
-          w_outcome = r.T.outcome;
-          w_time = r.T.elapsed;
-          w_stats = r.T.stats;
-        }
-    | Some (Error _) | None ->
-        let reason =
-          match (st.st_report, st.st_status) with
-          | Some (Error reason), _ -> reason
-          | _, Some (Unix.WSIGNALED n) ->
-              Printf.sprintf "worker killed (signal %d)" n
-          | _, Some (Unix.WEXITED n) -> Printf.sprintf "worker exit %d" n
-          | _, _ -> "worker produced no result"
-        in
-        {
-          w_label = st.st_spec.label;
-          w_algorithm = st.st_spec.algorithm;
-          w_outcome =
-            T.Crashed
-              {
-                reason;
-                lb = st.st_lb;
-                ub = (if st.st_ub = max_int then None else Some st.st_ub);
-              };
-          w_time = elapsed;
-          w_stats = T.empty_stats;
-        }
+    | Some (Ok r) -> report r.T.outcome r.T.elapsed r.T.stats
+    | Some (Error reason) -> crashed reason
+    | None -> crashed "worker produced no result"
   in
   let reports = List.map report_of !states in
   let stats =

@@ -136,11 +136,11 @@ val solve :
   ?sls_worker:bool ->
   Msu_cnf.Wcnf.t ->
   result
-(** Fork one worker per spec ([default_specs jobs] when [specs] is
-    omitted; [jobs] defaults to 4) and race them with live bound
-    sharing.  [timeout] is wall seconds for the whole portfolio
+(** Fork one {!Msu_harness.Worker} per spec ([default_specs jobs] when
+    [specs] is omitted; [jobs] defaults to 4) and race them with live
+    bound sharing.  [timeout] is wall seconds for the whole portfolio
     ([grace], default 1.0, pads the cancellation ladder exactly as in
-    {!Msu_harness.Runner.run_one}); [max_conflicts] is a per-worker
+    {!Msu_harness.Worker.spawn}); [max_conflicts] is a per-worker
     conflict budget.  Never raises on worker crashes: a crashed worker
     contributes its salvaged bounds and the rest keep racing.
 
@@ -156,10 +156,11 @@ val solve :
     coordinator's request span in the merged timeline.
 
     With [handle_sigint] (default false — library callers keep their
-    own signal policy) the parent fields Ctrl-C for the whole race:
-    workers ignore the terminal's SIGINT and are cancelled through the
-    SIGTERM → flush-grace → SIGKILL ladder instead, so the merge still
-    reports every salvaged bound.  [msolve --portfolio] sets it.
+    own signal policy) the parent installs its Ctrl-C handler before
+    the first fork, so the workers ignore the terminal's SIGINT and are
+    cancelled through the SIGTERM → flush-grace → SIGKILL ladder
+    instead, and the merge still reports every salvaged bound.
+    [msolve --portfolio] sets it.
 
     [share_clauses] (default false) turns on learnt-clause sharing:
     accepted clauses are counted in [msu_shared_clauses_total] (dup /

@@ -14,7 +14,7 @@ type record =
 type t = { fd : Unix.file_descr; mutable dead : bool }
 
 let magic = 0x4D53554A (* "MSUJ" *)
-let version = 1
+let version = 2
 let header_len = 8
 let frame_head = 4 + 16 (* length word + MD5 of the payload *)
 
@@ -49,6 +49,8 @@ let append t r =
       write_all t.fd (frame r);
       Unix.fsync t.fd
     with Unix.Unix_error _ -> t.dead <- true
+
+let fd t = t.fd
 
 let close t =
   t.dead <- true;

@@ -47,4 +47,7 @@ val append : t -> record -> unit
     journal dead and are swallowed: durability degrades, the daemon
     survives. *)
 
+val fd : t -> Unix.file_descr
+(** The open journal file, for a forked worker to close. *)
+
 val close : t -> unit

@@ -43,7 +43,6 @@ let of_wire ww =
 
 type options = {
   algorithm : M.algorithm;
-  encoding : Msu_card.Card.encoding option;  (* None = server default *)
   timeout : float option;  (* None = server default *)
   max_conflicts : int option;
   priority : int;  (* higher pops sooner; FIFO within a priority *)
@@ -54,7 +53,6 @@ type options = {
 let default_options =
   {
     algorithm = M.Msu4_v2;
-    encoding = None;
     timeout = None;
     max_conflicts = None;
     priority = 0;
@@ -116,7 +114,7 @@ type reply =
 
 let max_frame = 1 lsl 28
 let magic = 0x4D535355 (* "MSSU" *)
-let version = 1
+let version = 2
 
 exception Protocol_error of string
 

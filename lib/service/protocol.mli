@@ -26,7 +26,6 @@ val of_wire : wire_wcnf -> Msu_cnf.Wcnf.t
 
 type options = {
   algorithm : Msu_maxsat.Maxsat.algorithm;
-  encoding : Msu_card.Card.encoding option;  (** [None] = server default *)
   timeout : float option;  (** per-request budget; [None] = server default *)
   max_conflicts : int option;
   priority : int;  (** higher pops sooner; FIFO within one priority *)
@@ -37,7 +36,7 @@ type options = {
 }
 
 val default_options : options
-(** msu4-v2, server-default encoding and budgets, priority 0, cache on. *)
+(** msu4-v2, server-default budgets, priority 0, cache on. *)
 
 type request =
   | Solve of { wcnf : wire_wcnf; options : options }

@@ -6,12 +6,11 @@
     re-verified by {!Msu_maxsat.Certify.recost} against the requesting
     instance — is answered immediately.  Misses enter a bounded
     priority queue ({!Jobq}; a full queue answers [Rejected] with a
-    reason) and are dispatched to a pool of forked workers that reuse
-    the harness's isolation machinery: per-job {!Msu_guard.Guard}
-    budgets, SIGTERM → flush-grace → SIGKILL cancellation, and
-    bounds-salvaging crash reports.  A worker that crashes or times out
-    costs its own request a [Crashed]/[Bounds] result, never the
-    daemon.
+    reason) and are dispatched to a pool of forked
+    {!Msu_harness.Worker}s: per-job {!Msu_guard.Guard} budgets,
+    SIGTERM → flush-grace → SIGKILL cancellation, and bounds-salvaging
+    crash reports.  A worker that crashes or times out costs its own
+    request a [Crashed]/[Bounds] result, never the daemon.
 
     Crash recovery: workers stream {!Msu_guard.Checkpoint} frames
     (certified lb/ub bracket plus incumbent model) over a pipe; a
@@ -38,7 +37,7 @@ type config = {
       (** persist the cache across restarts (loaded at startup, saved
           at shutdown) *)
   default_timeout : float;  (** per-request budget when none given *)
-  grace : float;  (** ladder grace, as in {!Msu_harness.Runner} *)
+  grace : float;  (** ladder grace, as in {!Msu_harness.Worker.spawn} *)
   trace : (string -> unit) option;
   sink : Msu_obs.Obs.sink;
       (** the daemon's typed event stream: queue, cache and worker

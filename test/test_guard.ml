@@ -398,7 +398,7 @@ let test_wait_ladder_eintr () =
           Unix._exit 42
       | pid -> (
           let now = Unix.gettimeofday () in
-          match R.Subproc.wait_with_ladder ~term_at:(now +. 5.) ~flush:1.0 pid with
+          match Msu_harness.Worker.wait_with_ladder ~term_at:(now +. 5.) ~flush:1.0 pid with
           | Unix.WEXITED 42 -> ()
           | _ -> Alcotest.fail "well-behaved child lost under EINTR fire"));
       flush stdout;
@@ -414,7 +414,7 @@ let test_wait_ladder_eintr () =
       | pid -> (
           Sys.set_signal Sys.sigterm old_term;
           let now = Unix.gettimeofday () in
-          match R.Subproc.wait_with_ladder ~term_at:now ~flush:0.1 pid with
+          match Msu_harness.Worker.wait_with_ladder ~term_at:now ~flush:0.1 pid with
           | Unix.WSIGNALED s when s = Sys.sigkill -> ()
           | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
               Alcotest.fail "SIGTERM-deaf child escaped the ladder"))

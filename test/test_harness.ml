@@ -1,4 +1,6 @@
 module R = Msu_harness.Runner
+module Worker = Msu_harness.Worker
+module G = Msu_guard.Guard
 module M = Msu_maxsat.Maxsat
 module Wcnf = Msu_cnf.Wcnf
 open Test_util
@@ -127,6 +129,54 @@ let test_sigkill_backstop () =
       Alcotest.(check bool) "reaped promptly" true (Unix.gettimeofday () -. t0 < 5.0)
   | _ -> Alcotest.fail "expected a crash-classified abort"
 
+(* The result rule, one row per exit status: a complete result file
+   wins whatever the status (a worker may be signalled after writing
+   it); without one, the status names the crash. *)
+let test_result_rule () =
+  let rows =
+    [
+      (Unix.WEXITED 0, "worker produced no result");
+      (Unix.WEXITED 2, "worker exit 2");
+      (Unix.WSIGNALED 9, "worker killed (signal 9)");
+      (Unix.WSIGNALED 15, "worker killed (signal 15)");
+    ]
+  in
+  List.iter
+    (fun (status, no_file) ->
+      let check what file expected =
+        Alcotest.(check (result int string))
+          (Printf.sprintf "%s, %s" no_file what)
+          expected (Worker.verdict status file)
+      in
+      check "complete Ok file" (Some (Ok 7)) (Ok 7);
+      check "complete Error file" (Some (Error "stack overflow")) (Error "stack overflow");
+      check "no file" None (Error no_file))
+    rows
+
+(* SIGTERM sent the instant [spawn] returns: it is blocked across the
+   fork and the child installs its handler before unblocking, so the
+   signal trips the guard of the worker's solve and the worker answers
+   through it, instead of dying of the signal.  The long grace keeps the
+   SIGKILL rung out of the way on a loaded machine. *)
+let test_early_sigterm_reaches_guard () =
+  let w =
+    Worker.spawn ~deadline:infinity ~grace:10.0 (fun _ ->
+        let g = G.unlimited () in
+        G.set_cancel_target g;
+        let rec spin () =
+          match G.tripped g with
+          | Some G.Cancelled -> "cancelled"
+          | Some _ -> "tripped otherwise"
+          | None ->
+              Unix.sleepf 0.001;
+              spin ()
+        in
+        spin ())
+  in
+  Worker.terminate w;
+  Alcotest.(check (result string string))
+    "answered through its guard" (Ok "cancelled") (Worker.wait w)
+
 let contains_substring hay needle =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -169,6 +219,9 @@ let suite =
     Alcotest.test_case "SIGTERM flushes partial bounds" `Quick
       test_sigterm_flushes_partial_bounds;
     Alcotest.test_case "SIGKILL backstop reaps" `Quick test_sigkill_backstop;
+    Alcotest.test_case "worker result rule" `Quick test_result_rule;
+    Alcotest.test_case "early SIGTERM reaches the guard" `Quick
+      test_early_sigterm_reaches_guard;
     Alcotest.test_case "consistency detection" `Quick test_consistency_detection;
     Alcotest.test_case "scatter points" `Quick test_scatter;
     Alcotest.test_case "scatter pins aborts" `Quick test_scatter_pins_aborts_at_timeout;
