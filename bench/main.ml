@@ -199,8 +199,13 @@ let suite_options () =
   let retry =
     { R.max_attempts = max 1 !retries; retry_conflict_budget = None }
   in
-  let budget = if !conflict_budget > 0 then Some !conflict_budget else None in
-  (retry, budget)
+  let request =
+    {
+      T.default_request with
+      T.max_conflicts = (if !conflict_budget > 0 then Some !conflict_budget else None);
+    }
+  in
+  (retry, request)
 
 let print_breakdown runs =
   let parts =
@@ -215,9 +220,9 @@ let run_on suite_name instances algorithms =
   Printf.printf "  running %d instances x %d algorithms (timeout %.1fs%s) "
     (List.length instances) (List.length algorithms) !timeout
     (if !isolate then ", isolated" else "");
-  let retry, budget = suite_options () in
+  let retry, request = suite_options () in
   let runs =
-    R.run_suite ~progress ~isolate:!isolate ~retry ?conflict_budget:budget
+    R.run_suite ~progress ~isolate:!isolate ~retry ~request
       ~timeout:!timeout ~algorithms instances
   in
   print_newline ();
@@ -374,10 +379,14 @@ let ablation_opt () =
     [
       ( "msu4-v2/geq1 on",
         fun (config : T.config) w ->
-          Msu_maxsat.Msu4.solve ~config:{ config with T.core_geq1 = true } w );
+          Msu_maxsat.Msu4.solve
+            ~config:{ config with T.request = { config.T.request with T.core_geq1 = true } }
+            w );
       ( "msu4-v2/geq1 off",
         fun (config : T.config) w ->
-          Msu_maxsat.Msu4.solve ~config:{ config with T.core_geq1 = false } w );
+          Msu_maxsat.Msu4.solve
+            ~config:{ config with T.request = { config.T.request with T.core_geq1 = false } }
+            w );
     ]
 
 let ablation_msu () =
@@ -396,9 +405,9 @@ let ablation_wpm1 () =
   let instances = Suites.weighted_debugging ~scale:!scale ~seed:!seed () in
   let algorithms = [ M.Wpm1; M.Pbo_linear; M.Pbo_binary; M.Branch_bound ] in
   Printf.printf "\nAblation D - weighted debugging (cheapest repair) ";
-  let retry, budget = suite_options () in
+  let retry, request = suite_options () in
   let runs =
-    R.run_suite ~progress ~isolate:!isolate ~retry ?conflict_budget:budget
+    R.run_suite ~progress ~isolate:!isolate ~retry ~request
       ~timeout:!timeout ~algorithms instances
   in
   print_newline ();
@@ -476,7 +485,7 @@ let run_inpro ~inprocess solve instances =
             T.default_config with
             T.deadline;
             T.guard = Some g;
-            T.inprocess = inprocess;
+            T.request = { T.default_request with T.inprocess };
           }
         in
         let r = solve config w in

@@ -115,9 +115,8 @@ let presimplify_instance ~quiet w =
       Some (w', r.Msu_sat.Simplify.restore_model)
 
 let run () file algorithm encoding timeout conflicts propagations memory_mb verify
-    verbose trace_file stats_json no_geq1 quiet incomplete portfolio jobs
-    share_clauses sls_worker connect priority no_cache no_inprocess presimplify
-    profile =
+    verbose trace_file stats_json no_geq1 quiet portfolio jobs share_clauses
+    sls_worker connect priority no_cache no_inprocess presimplify profile =
   let w =
     try Ok (Msu_cnf.Dimacs.parse_wcnf_file file) with
     | Msu_cnf.Dimacs.Parse_error (line, msg) ->
@@ -175,19 +174,19 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
         | Some _ -> Obs.Span.create ~sink ~id:0 ()
         | None -> Obs.Span.disabled
       in
-      let request =
+      let root =
         ref
           (if Obs.Span.enabled spans then
              Some (Obs.Span.start spans "request")
            else None)
       in
-      (match !request with
+      (match !root with
       | Some h -> Obs.Span.set_anchor spans (Obs.Span.span_of h)
       | None -> ());
       let close_request () =
-        match !request with
+        match !root with
         | Some h ->
-            request := None;
+            root := None;
             Obs.Span.stop spans h
         | None -> ()
       in
@@ -209,19 +208,17 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
           write_profile ();
           match trace_oc with Some oc -> close_out oc | None -> ())
       @@ fun () ->
-      let config =
+      (* The solve request, built once: the in-process solve, every
+         portfolio worker and the service's worker all solve under it. *)
+      let request =
         {
-          T.default_config with
-          T.deadline;
-          T.core_geq1 = not no_geq1;
-          T.sink = sink;
-          T.spans = spans;
           T.max_conflicts = conflicts;
-          T.max_propagations = propagations;
-          T.max_memory_words =
+          max_propagations = propagations;
+          max_memory_words =
             (* bytes -> words on a 64-bit runtime *)
             Option.map (fun mb -> mb * 1024 * 1024 / 8) memory_mb;
-          T.inprocess = not no_inprocess;
+          core_geq1 = not no_geq1;
+          inprocess = not no_inprocess;
         }
       in
       (* Snapshot for the GC-pressure delta reported by --stats-json.
@@ -247,7 +244,7 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
                 Proto.default_options with
                 Proto.algorithm;
                 timeout;
-                max_conflicts = conflicts;
+                request;
                 priority;
                 use_cache = not no_cache;
               }
@@ -258,7 +255,7 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
             Ok
               (if portfolio then begin
                  let pr =
-                   P.solve ~jobs ?timeout ?max_conflicts:conflicts
+                   P.solve ~jobs ?timeout ~request
                      ?trace:
                        (if verbose then
                           Some (fun m -> print_endline ("c " ^ m))
@@ -280,8 +277,10 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
                    pr.P.disagreements;
                  P.to_result pr
                end
-               else if incomplete then Msu_maxsat.Local_search.solve ~config w_solve
-               else M.solve_supervised ~config algorithm w_solve)
+               else
+                 M.solve_supervised
+                   ~config:{ T.default_config with T.deadline; request; sink; spans }
+                   algorithm w_solve)
       in
       match solved with
       | Error msg ->
@@ -387,30 +386,13 @@ let run () file algorithm encoding timeout conflicts propagations memory_mb veri
       end
       else code))
 
-(* An entry point that cannot honour a flag rejects it instead of
-   dropping it: portfolio workers and the solve service build their own
-   solver configuration, which these flags never reach.  Evaluated as
-   the first argument of [run], so a rejection stops before any work. *)
-let honoured_flags portfolio connect incomplete no_inprocess no_geq1 memory_mb
-    propagations =
-  let solver_flags =
-    [
-      ("--no-inprocess", no_inprocess);
-      ("--no-core-geq1", no_geq1);
-      ("--memory-mb", memory_mb <> None);
-      ("--propagations", propagations <> None);
-      ("--incomplete", incomplete);
-    ]
-  in
-  let reject entry flags =
-    match List.find_opt snd flags with
-    | Some (flag, _) -> `Error (true, Printf.sprintf "%s cannot be used with %s" flag entry)
-    | None -> `Ok ()
-  in
-  match (connect, portfolio) with
-  | Some _, _ -> reject "--connect" (("--portfolio", portfolio) :: solver_flags)
-  | None, true -> reject "--portfolio" solver_flags
-  | None, false -> `Ok ()
+(* The service races no portfolio, so the one combination no entry
+   point can honour is a usage error.  Evaluated as the first argument
+   of [run], so a rejection stops before any work. *)
+let honoured_flags portfolio connect =
+  match connect with
+  | Some _ when portfolio -> `Error (true, "--portfolio cannot be used with --connect")
+  | _ -> `Ok ()
 
 open Cmdliner
 
@@ -509,25 +491,16 @@ let no_geq1 =
 
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress comment lines.")
 
-let incomplete =
-  Arg.(
-    value & flag
-    & info [ "incomplete"; "ls" ]
-        ~doc:
-          "Use the stochastic local-search solver instead of an exact algorithm \
-           (reports an upper bound and a model, not a proven optimum).")
-
 let portfolio =
   Arg.(
     value & flag
     & info [ "portfolio" ]
         ~doc:
-          "Race several algorithm/encoding configurations in forked worker \
+          "Race several algorithms in forked worker \
            processes with live lower/upper-bound sharing; the first to close \
            the gap wins and the rest are cancelled gracefully.  Ignores \
-           $(b,--algorithm); $(b,--no-inprocess), $(b,--no-core-geq1), \
-           $(b,--memory-mb), $(b,--propagations) and $(b,--incomplete) are \
-           usage errors here, since the workers cannot honour them.")
+           $(b,--algorithm); every budget and solver flag applies to each \
+           worker.")
 
 let jobs =
   Arg.(
@@ -562,14 +535,12 @@ let connect =
         ~doc:
           "Client mode: send the instance to the $(b,mserve) daemon listening \
            on this Unix-domain socket instead of solving in-process.  \
-           $(b,--algorithm), $(b,--timeout) and $(b,--conflicts) travel \
-           with the request; Ctrl-C cancels the remote job (salvaged \
-           bounds still come back).  $(b,--verify) certifies the returned \
-           result locally, with $(b,--encoding) as the certifier's \
-           encoding.  The service cannot \
-           honour $(b,--portfolio), $(b,--incomplete), $(b,--no-inprocess), \
-           $(b,--no-core-geq1), $(b,--memory-mb) or $(b,--propagations); \
-           each is a usage error here.")
+           $(b,--algorithm), $(b,--timeout) and every budget and solver \
+           flag travel with the request; Ctrl-C cancels the remote job \
+           (salvaged bounds still come back).  $(b,--verify) certifies \
+           the returned result locally, with $(b,--encoding) as the \
+           certifier's encoding.  The service races no portfolio: \
+           $(b,--portfolio) is a usage error here.")
 
 let priority =
   Arg.(
@@ -638,12 +609,10 @@ let cmd =
     (Cmd.info "msolve" ~version:"1.0" ~doc ~exits)
     Term.(
       const run
-      $ ret
-          (const honoured_flags $ portfolio $ connect $ incomplete $ no_inprocess
-         $ no_geq1 $ memory_mb $ propagations)
+      $ ret (const honoured_flags $ portfolio $ connect)
       $ file $ algorithm $ encoding $ timeout $ conflicts $ propagations $ memory_mb
-      $ verify $ verbose $ trace_file $ stats_json $ no_geq1 $ quiet $ incomplete
-      $ portfolio $ jobs $ share_clauses $ sls_worker $ connect $ priority $ no_cache
+      $ verify $ verbose $ trace_file $ stats_json $ no_geq1 $ quiet $ portfolio
+      $ jobs $ share_clauses $ sls_worker $ connect $ priority $ no_cache
       $ no_inprocess $ presimplify $ profile)
 
 let () = exit (Cmd.eval' cmd)

@@ -6,7 +6,7 @@ let require_unit_weights w =
   let ok = ref true in
   Msu_cnf.Wcnf.iter_soft (fun _ _ weight -> if weight <> 1 then ok := false) w;
   if not !ok then
-    invalid_arg "this MaxSAT algorithm handles unit soft weights only (use stratification)"
+    invalid_arg "this MaxSAT algorithm handles unit soft weights only (use wpm1, pbo or maxsatz)"
 
 let over_deadline (cfg : Types.config) =
   match cfg.guard with
@@ -14,10 +14,9 @@ let over_deadline (cfg : Types.config) =
   | None -> cfg.deadline < infinity && Unix.gettimeofday () > cfg.deadline
 
 let make_guard (cfg : Types.config) =
-  Guard.create ~deadline:cfg.deadline
-    ?max_conflicts:cfg.max_conflicts
-    ?max_propagations:cfg.max_propagations
-    ?max_memory_words:cfg.max_memory_words ()
+  let r = cfg.request in
+  Guard.create ~deadline:cfg.deadline ?max_conflicts:r.max_conflicts
+    ?max_propagations:r.max_propagations ?max_memory_words:r.max_memory_words ()
 
 let guard (cfg : Types.config) =
   match cfg.guard with Some g -> g | None -> make_guard cfg
@@ -110,13 +109,13 @@ let sat_call_span (cfg : Types.config) s f =
     f
 
 (* Wire a persistent solver for inprocessing: enable the automatic
-   restart-boundary pass per [config.inprocess], and wrap its fresh-var
+   restart-boundary pass per [config.request.inprocess], and wrap its fresh-var
    source so every encoding variable (totalizer internals and outputs,
    exactly-one auxiliaries) is frozen on creation — none of them may be
    eliminated or probed, since the algorithm can re-reference or assume
    any of them in a later round. *)
 let setup_inprocess (cfg : Types.config) s =
-  Msu_sat.Solver.set_inprocess s cfg.Types.inprocess
+  Msu_sat.Solver.set_inprocess s cfg.Types.request.inprocess
 
 let frozen_var s () =
   let v = Msu_sat.Solver.new_var s in
@@ -129,7 +128,7 @@ let frozen_var s () =
    sweeps every live clause — on big instances a pass must be earned by
    proportionally more churn or its overhead dwarfs the search. *)
 let maybe_inprocess (cfg : Types.config) s =
-  if cfg.Types.inprocess then
+  if cfg.Types.request.inprocess then
     let min_dirty = max 8 (Msu_sat.Solver.num_clauses s / 4) in
     ignore (Msu_sat.Solver.inprocess ?guard:cfg.Types.guard ~min_dirty s)
 

@@ -9,10 +9,11 @@ val over_deadline : Types.config -> bool
     otherwise samples the clock against [deadline] directly. *)
 
 val make_guard : Types.config -> Msu_guard.Guard.t
-(** Fresh guard from the config's budget fields. *)
+(** Fresh guard from the config's deadline and its request's budgets —
+    the one place a guard is derived from a solve request. *)
 
 val guard : Types.config -> Msu_guard.Guard.t
-(** The installed shared guard, or a fresh one from the budget fields. *)
+(** The installed shared guard, or {!make_guard}. *)
 
 val with_guard : Types.config -> Types.config
 (** Ensure [cfg.guard] {e and} [cfg.progress] are populated
@@ -61,7 +62,7 @@ val sat_call_span : Types.config -> Msu_sat.Solver.t -> (unit -> 'a) -> 'a
     (conflicts, propagations) delta read from the solver's counters. *)
 
 val setup_inprocess : Types.config -> Msu_sat.Solver.t -> unit
-(** Enable (or not, per [cfg.inprocess]) the solver's automatic
+(** Enable (or not, per [cfg.request.inprocess]) the solver's automatic
     restart-boundary inprocessing pass.  Call right after creating a
     persistent solver. *)
 
@@ -72,7 +73,7 @@ val frozen_var : Msu_sat.Solver.t -> unit -> Msu_cnf.Lit.var
 
 val maybe_inprocess : Types.config -> Msu_sat.Solver.t -> unit
 (** Run an explicit inprocessing pass on a persistent solver between
-    core rounds, when [cfg.inprocess] is set and enough structural
+    core rounds, when [cfg.request.inprocess] is set and enough structural
     change accumulated since the last pass.  Guard-polled; a deadline
     aborts the pass cleanly. *)
 

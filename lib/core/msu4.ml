@@ -180,7 +180,7 @@ let solve ?(config = Types.default_config) w =
                 Common.trace config (fun () ->
                     Printf.sprintf "UNSAT: core with %d initial clauses (U=%d)"
                       (List.length softs) !unsat_iters);
-                if config.core_geq1 then sink.Sink.emit (Array.of_list new_bs);
+                if config.request.core_geq1 then sink.Sink.emit (Array.of_list new_bs);
                 if !ub <> max_int && !unsat_iters >= !ub then
                   finish (Types.Optimum !ub)
                 else if limit < !ub && !unsat_iters >= limit then

@@ -9,7 +9,7 @@
        (each soft clause carries {e at most one} — the algorithm's key
        difference from Fu & Malik's msu1).  Optionally, a constraint
        "at least one of the new blocking variables is true" is added
-       (line 19 of Algorithm 1; see {!Types.config.core_geq1}).  If the
+       (line 19 of Algorithm 1; see {!Types.request.core_geq1}).  If the
        core contains no unrelaxed soft clause, the current upper bound
        is returned as the optimum.}
     {- {b SAT}: the model's cost refines the upper bound, and the

@@ -23,17 +23,26 @@ type share = {
   sh_drain : unit -> Msu_cnf.Lit.t array list;
 }
 
-type config = {
-  deadline : float;
+type request = {
   max_conflicts : int option;
   max_propagations : int option;
   max_memory_words : int option;
-  encoding : Msu_card.Card.encoding;
   core_geq1 : bool;
   inprocess : bool;
-      (* let the persistent solver run inprocessing passes (BVE,
-         subsumption, probing) at restart boundaries and after core
-         rounds; freezing protects selectors and encoding variables *)
+}
+
+let default_request =
+  {
+    max_conflicts = None;
+    max_propagations = None;
+    max_memory_words = None;
+    core_geq1 = true;
+    inprocess = true;
+  }
+
+type config = {
+  deadline : float;
+  request : request;
   sink : Msu_obs.Obs.sink;
   solve_id : int;
   guard : Msu_guard.Guard.t option;
@@ -53,12 +62,7 @@ type config = {
 let default_config =
   {
     deadline = infinity;
-    max_conflicts = None;
-    max_propagations = None;
-    max_memory_words = None;
-    encoding = Msu_card.Card.Sortnet;
-    core_geq1 = true;
-    inprocess = true;
+    request = default_request;
     sink = Msu_obs.Obs.null;
     solve_id = 0;
     guard = None;

@@ -44,20 +44,12 @@ type share = {
     share-safety tracking guarantees this for exports, and importers
     trust it. *)
 
-type config = {
-  deadline : float;
-      (** absolute timestamp ([Unix.gettimeofday] scale); [infinity] for
-          no limit *)
+type request = {
   max_conflicts : int option;
       (** total SAT-conflict budget across all calls of the solve *)
   max_propagations : int option;  (** total unit-propagation budget *)
   max_memory_words : int option;
       (** live-heap budget, in OCaml heap words ({!Gc.quick_stat}) *)
-  encoding : Msu_card.Card.encoding;
-      (** cardinality encoding for the level hardenings of {!Lexico}, the
-          one algorithm that still emits plain at-most constraints; the
-          core-guided and PBO loops bound their counts with incremental
-          (or generalized) totalizers whatever this says *)
   core_geq1 : bool;
       (** msu4's optional "at least one new blocking variable" constraint
           (Algorithm 1, line 19) *)
@@ -67,6 +59,25 @@ type config = {
           elimination, subsumption, failed-literal probing); selectors
           and encoding variables are frozen, so optima are unaffected.
           Ignored under DRUP logging *)
+}
+(** One solve request: the budgets and solver flags, pure data.  Every
+    entry point builds it once — [msolve] from its flags, the service
+    from the wire — and carries it unchanged into the in-process solve,
+    each portfolio worker ({!Msu_portfolio.Portfolio.solve}), each
+    service worker and each runner attempt, so a flag means the same
+    thing wherever the solve runs.  The algorithm and the wall budget
+    stay outside: the algorithm is the dispatch, and each entry point
+    turns its timeout into {!config.deadline} when its own clock
+    starts. *)
+
+val default_request : request
+(** No budgets, [core_geq1 = true], [inprocess = true]. *)
+
+type config = {
+  deadline : float;
+      (** absolute timestamp ([Unix.gettimeofday] scale); [infinity] for
+          no limit *)
+  request : request;  (** budgets and solver flags *)
   sink : Msu_obs.Obs.sink;
       (** where the solve publishes its typed event stream ({!Msu_obs.Obs.Event});
           [Obs.null] disables observability at one branch per event *)
@@ -74,9 +85,10 @@ type config = {
       (** stamped into every emitted event so multiplexed streams (one
           pipe, many workers) demultiplex into per-solve timelines *)
   guard : Msu_guard.Guard.t option;
-      (** pre-built guard to poll instead of deriving one from the budget
-          fields; lets a harness share one guard across a whole solve and
-          read its tripped reason afterwards *)
+      (** pre-built guard to poll instead of deriving one from
+          [deadline] and the request's budgets; lets a harness share one
+          guard across a whole solve and read its tripped reason
+          afterwards *)
   progress : Msu_guard.Guard.Progress.cell option;
       (** shared cell where algorithms publish every improved bound, so a
           crash still surfaces the work done so far *)
@@ -93,10 +105,14 @@ type config = {
       (** phase tracer for span-based profiling; [Span.disabled] (the
           default) keeps every instrumentation point a near-free branch *)
 }
+(** A solve's {!request} plus its deadline and the runtime handles
+    (sink, guard, progress cell, resume checkpoint, sharing endpoints,
+    tracer), which belong to one process and never cross a fork or the
+    wire. *)
 
 val default_config : config
-(** No deadline or budgets, [Sortnet] encoding, [core_geq1 = true],
-    [inprocess = true], null event sink, no shared guard. *)
+(** No deadline, {!default_request}, null event sink, no shared
+    guard. *)
 
 val empty_stats : stats
 

@@ -41,11 +41,10 @@ let is_crash = function Aborted { why = Crash _; _ } -> true | _ -> false
    attempt's checkpoint; with [up] (a forked worker's pipe) the solve
    streams its own checkpoints there.  Returns the bracket it ended with
    (and the model backing its ub) for the next attempt and the salvage. *)
-let attempt ?resume ?up ~timeout ~conflict_budget algorithm wcnf =
+let attempt ?resume ?up ~timeout ~request algorithm wcnf =
   let t0 = Unix.gettimeofday () in
   let result, tripped =
-    Worker.solve ?up ?resume ?max_conflicts:conflict_budget ~deadline:(t0 +. timeout)
-      algorithm wcnf
+    Worker.solve ?up ?resume ~request ~deadline:(t0 +. timeout) algorithm wcnf
   in
   let time = Float.min (Unix.gettimeofday () -. t0) timeout in
   let outcome =
@@ -81,18 +80,18 @@ let isolated ~timeout ~grace body =
 
 let run_isolated ~timeout ~grace thunk = fst (isolated ~timeout ~grace (fun _ -> thunk ()))
 
-let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry) ?conflict_budget
-    ~timeout algorithm (instance, family, wcnf) =
-  let once ~resume budget =
+let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry)
+    ?(request = Types.default_request) ~timeout algorithm (instance, family, wcnf) =
+  let once ~resume request =
     if isolate then
       isolated ~timeout ~grace (fun up ->
-          fst (attempt ?resume ~up ~timeout ~conflict_budget:budget algorithm wcnf))
+          fst (attempt ?resume ~up ~timeout ~request algorithm wcnf))
     else
-      let res, ck = attempt ?resume ~timeout ~conflict_budget:budget algorithm wcnf in
+      let res, ck = attempt ?resume ~timeout ~request algorithm wcnf in
       (res, Some ck)
   in
-  let rec go n ~resume budget acc =
-    let (outcome, time), ck = once ~resume budget in
+  let rec go n ~resume request acc =
+    let (outcome, time), ck = once ~resume request in
     (* Accumulate the best certified bracket across attempts: the
        streamed/returned checkpoint plus whatever bounds the outcome
        itself carries. *)
@@ -108,10 +107,12 @@ let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry) ?conflict_budg
          policy's (smaller) conflict budget so it stops before the
          crash point — and resumes from the accumulated checkpoint so
          certified work is never redone. *)
-      go (n + 1) ~resume:(Some acc) retry.retry_conflict_budget acc
+      go (n + 1) ~resume:(Some acc)
+        { request with Types.max_conflicts = retry.retry_conflict_budget }
+        acc
     else (outcome, time, n, acc)
   in
-  let outcome, time, attempts, ck = go 1 ~resume:None conflict_budget Checkpoint.empty in
+  let outcome, time, attempts, ck = go 1 ~resume:None request Checkpoint.empty in
   (* Exhausted retries still report the best bracket seen anywhere, not
      just the final attempt's; it collapses to [Solved] only on an
      upper bound whose model re-verifies against the instance. *)
@@ -127,14 +128,14 @@ let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry) ?conflict_budg
   let time = match outcome with Aborted _ -> timeout | _ -> time in
   { instance; family; algorithm; outcome; time; attempts }
 
-let run_suite ?(progress = fun _ -> ()) ?isolate ?grace ?retry ?conflict_budget
+let run_suite ?(progress = fun _ -> ()) ?isolate ?grace ?retry ?request
     ~timeout ~algorithms instances =
   List.concat_map
     (fun inst ->
       List.map
         (fun algorithm ->
           let r =
-            run_one ?isolate ?grace ?retry ?conflict_budget ~timeout algorithm inst
+            run_one ?isolate ?grace ?retry ?request ~timeout algorithm inst
           in
           progress r;
           r)

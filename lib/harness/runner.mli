@@ -38,9 +38,10 @@ type run = {
 type retry_policy = {
   max_attempts : int;  (** total attempts; extra attempts fire on crashes only *)
   retry_conflict_budget : int option;
-      (** conflict budget for retry attempts — typically smaller than the
-          first attempt's, so the retry stops short of the crash point
-          and reports sound bounds instead *)
+      (** conflict budget for retry attempts, in place of the request's
+          [max_conflicts] — typically smaller than the first attempt's,
+          so the retry stops short of the crash point and reports sound
+          bounds instead *)
 }
 
 val no_retry : retry_policy
@@ -60,7 +61,7 @@ val run_one :
   ?isolate:bool ->
   ?grace:float ->
   ?retry:retry_policy ->
-  ?conflict_budget:int ->
+  ?request:Msu_maxsat.Types.request ->
   timeout:float ->
   Msu_maxsat.Maxsat.algorithm ->
   string * string * Msu_cnf.Wcnf.t ->
@@ -73,14 +74,18 @@ val run_one :
     flushes the partial lb/ub it computed), then SIGKILL after a short
     flush window — so an infinite loop or C-level crash costs one run,
     never the suite, and a timed-out run still reports its bounds.
-    [retry] (default {!no_retry}) re-runs crashed attempts. *)
+    [retry] (default {!no_retry}) re-runs crashed attempts.  Every
+    attempt solves under [request] (default
+    {!Msu_maxsat.Types.default_request}) through
+    {!Worker.solve}, a retry with its conflict budget replaced by the
+    policy's. *)
 
 val run_suite :
   ?progress:(run -> unit) ->
   ?isolate:bool ->
   ?grace:float ->
   ?retry:retry_policy ->
-  ?conflict_budget:int ->
+  ?request:Msu_maxsat.Types.request ->
   timeout:float ->
   algorithms:Msu_maxsat.Maxsat.algorithm list ->
   (string * string * Msu_cnf.Wcnf.t) list ->

@@ -88,13 +88,34 @@ let read_result path : ('a, string) result option =
         Some (Marshal.from_channel ic : ('a, string) result))
   with _ -> None
 
+(* [Unix.waitpid] reports signals as OCaml's negative [Sys.sig*]
+   constants; the POSIX signals with fixed numbers map back to them. *)
+let os_signals =
+  [
+    (Sys.sighup, 1);
+    (Sys.sigint, 2);
+    (Sys.sigquit, 3);
+    (Sys.sigill, 4);
+    (Sys.sigtrap, 5);
+    (Sys.sigabrt, 6);
+    (Sys.sigfpe, 8);
+    (Sys.sigkill, 9);
+    (Sys.sigsegv, 11);
+    (Sys.sigpipe, 13);
+    (Sys.sigalrm, 14);
+    (Sys.sigterm, 15);
+  ]
+
+let os_signal n =
+  if n >= 0 then n else Option.value (List.assoc_opt n os_signals) ~default:n
+
 let verdict status file =
   match (file, status) with
   | Some r, _ -> r
   | None, Unix.WEXITED 0 -> Error "worker produced no result"
   | None, Unix.WEXITED n -> Error (Printf.sprintf "worker exit %d" n)
   | None, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
-      Error (Printf.sprintf "worker killed (signal %d)" n)
+      Error (Printf.sprintf "worker killed (signal %d)" (os_signal n))
 
 (* ---------------- up-pipe framing ---------------- *)
 
@@ -191,7 +212,7 @@ let reap t on_line status =
   let code, signaled =
     match status with
     | Unix.WEXITED n -> (n, false)
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, true)
+    | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + os_signal n, true)
   in
   Obs.Metrics.inc (if signaled then m_exit_signaled else m_exit_normal);
   Obs.emit t.sink ~id:t.id
@@ -295,20 +316,8 @@ let spawn ?(close = []) ?(sink = Obs.null) ?(id = 0) ?fault ~deadline ~grace bod
 
 (* ---------------- the worker's solve ---------------- *)
 
-let solve ?up ?(events = false) ?trace ?ticker ?share ?resume ?max_conflicts
-    ?(id = 0) ~deadline algorithm w =
-  let guard = G.create ~deadline ?max_conflicts () in
-  (* A SIGTERM from the parent's ladder trips this guard, so the solve
-     unwinds with its current bounds instead of dying bound-less. *)
-  G.set_cancel_target guard;
-  let cell = G.Progress.create () in
-  let tick =
-    match (ticker, up) with
-    | Some f, _ -> Some (f guard cell)
-    | None, Some fd -> Some (Ck.writer fd cell)
-    | None, None -> None
-  in
-  Option.iter (G.set_ticker guard) tick;
+let solve ?up ?(events = false) ?trace ?ticker ?share ?resume
+    ?(request = T.default_request) ?(id = 0) ~deadline algorithm w =
   let sink =
     match up with
     | Some fd when events ->
@@ -322,21 +331,32 @@ let solve ?up ?(events = false) ?trace ?ticker ?share ?resume ?max_conflicts
     | Some (trace, parent) -> Obs.Span.create ~trace ~parent ~sink ~id ()
     | None -> Obs.Span.disabled
   in
+  let cell = G.Progress.create () in
   let config =
     {
       T.default_config with
       T.deadline;
-      max_conflicts;
+      request;
       sink;
       spans;
       solve_id = id;
-      guard = Some guard;
       progress = Some cell;
       resume;
       share;
     }
   in
-  let r = M.solve_supervised ~config algorithm w in
+  let guard = Msu_maxsat.Common.make_guard config in
+  (* A SIGTERM from the parent's ladder trips this guard, so the solve
+     unwinds with its current bounds instead of dying bound-less. *)
+  G.set_cancel_target guard;
+  let tick =
+    match (ticker, up) with
+    | Some f, _ -> Some (f guard cell)
+    | None, Some fd -> Some (Ck.writer fd cell)
+    | None, None -> None
+  in
+  Option.iter (G.set_ticker guard) tick;
+  let r = M.solve_supervised ~config:{ config with T.guard = Some guard } algorithm w in
   G.Progress.note_lb cell (fst (T.outcome_bounds r.T.outcome));
   Option.iter (fun f -> f ()) tick;
   (r, G.tripped guard)

@@ -88,8 +88,9 @@ val wait : 'a t -> ('a, string) result
     next rung.  Every blocking call retries on EINTR. *)
 
 val exit_code : 'a t -> int option
-(** After the reap: the exit code, or 128 + signal for a signal
-    death (as in [Worker_exit]). *)
+(** After the reap: the exit code, or 128 + the signal's OS number
+    ({!os_signal}) for a signal death (as in [Worker_exit]): 137 for
+    SIGKILL. *)
 
 val checkpoint : 'a t -> Msu_guard.Checkpoint.t option
 (** The newest intact checkpoint the worker streamed. *)
@@ -97,7 +98,19 @@ val checkpoint : 'a t -> Msu_guard.Checkpoint.t option
 val verdict :
   Unix.process_status -> ('a, string) result option -> ('a, string) result
 (** The result rule, given the exit status and the result file's
-    content ([None] when absent or torn). *)
+    content ([None] when absent or torn).  A signal is named by its OS
+    number ({!os_signal}). *)
+
+val os_signal : int -> int
+(** The OS number of a signal as [Unix.waitpid] reports it: OCaml's
+    negative [Sys.sig*] constants of the POSIX signals with fixed
+    numbers ([sighup] 1, [sigint] 2, [sigquit] 3, [sigill] 4, [sigtrap]
+    5, [sigabrt] 6, [sigfpe] 8, [sigkill] 9, [sigsegv] 11, [sigpipe] 13,
+    [sigalrm] 14, [sigterm] 15) map to those numbers; a non-negative
+    value is already an OS number and passes through.  Any other
+    negative constant ([sigbus], [sigusr1], [sigchld]…, whose numbers
+    differ between systems) is returned unchanged, so it still reads as
+    an OCaml constant rather than as a wrong OS number. *)
 
 val wait_with_ladder : term_at:float -> flush:float -> int -> Unix.process_status
 (** {!wait}'s loop for a bare child [pid] that has no handle: SIGTERM at
@@ -117,14 +130,19 @@ val solve :
   ?ticker:(Msu_guard.Guard.t -> Msu_guard.Guard.Progress.cell -> unit -> unit) ->
   ?share:Msu_maxsat.Types.share ->
   ?resume:Msu_guard.Checkpoint.t ->
-  ?max_conflicts:int ->
+  ?request:Msu_maxsat.Types.request ->
   ?id:int ->
   deadline:float ->
   Msu_maxsat.Maxsat.algorithm ->
   Msu_cnf.Wcnf.t ->
   Msu_maxsat.Types.result * Msu_guard.Guard.reason option
 (** One supervised solve as a worker runs it, with the reason its guard
-    tripped, if it did.  The guard (deadline, [max_conflicts]) is the
+    tripped, if it did.  [request] (default
+    {!Msu_maxsat.Types.default_request}) is applied whole: its solver
+    flags reach the algorithm, and the guard comes from
+    {!Msu_maxsat.Common.make_guard} on [deadline] and every budget of
+    the request, so the runner, the portfolio and the service budget a
+    forked solve exactly as an in-process one.  That guard is the
     process's cancel target.  With [up]: [events] forwards the typed
     event stream as ["e"] lines, [trace] = [(trace id, parent span)]
     opens a span tracer under the caller's span, and the guard's ticker

@@ -235,7 +235,7 @@ let m_incumbents =
 
 (* The worker's body: bound publication and broadcast intake on the
    guard's ticker, clause-sharing endpoints, and the solve itself. *)
-let run_worker ~deadline ~max_conflicts ~down ~index ~observe ~share ~seed_ub
+let run_worker ~deadline ~request ~down ~index ~observe ~share ~seed_ub
     ~trace_ctx sp w up =
   (* Kill-mid-flush harness: the frame's trailing newline never leaves
      the worker and no report file is written, so the bound survives
@@ -333,7 +333,7 @@ let run_worker ~deadline ~max_conflicts ~down ~index ~observe ~share ~seed_ub
   let resume = Option.map (fun u -> { Ck.empty with Ck.ub = Some u }) seed_ub in
   fst
     (Worker.solve ~up ~events:observe ?trace:trace_ctx ~ticker ?share ?resume
-       ?max_conflicts ~id:index ~deadline sp.algorithm w)
+       ~request ~id:index ~deadline sp.algorithm w)
 
 (* ---------------- parent ---------------- *)
 
@@ -353,7 +353,7 @@ type worker_state = {
 
 let alive st = st.st_report = None
 
-let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
+let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?(request = T.default_request) ?trace
     ?(sink = Obs.null) ?(spans = Obs.Span.disabled) ?(handle_sigint = false)
     ?(share_clauses = false) ?(sls_worker = false) w =
   let specs =
@@ -571,7 +571,7 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     let seed_ub = known_ub () in
     let worker =
       Worker.spawn ~close ~sink ~id:index ?fault:sp.fault ~deadline ~grace
-        (run_worker ~deadline ~max_conflicts ~down:down_rd ~index ~observe
+        (run_worker ~deadline ~request ~down:down_rd ~index ~observe
            ~share:share_clauses ~seed_ub ~trace_ctx sp w)
     in
     Unix.close down_rd;

@@ -127,7 +127,7 @@ val solve :
   ?jobs:int ->
   ?timeout:float ->
   ?grace:float ->
-  ?max_conflicts:int ->
+  ?request:Msu_maxsat.Types.request ->
   ?trace:(string -> unit) ->
   ?sink:Msu_obs.Obs.sink ->
   ?spans:Msu_obs.Obs.Span.t ->
@@ -140,8 +140,10 @@ val solve :
     [specs] is omitted; [jobs] defaults to 4) and race them with live
     bound sharing.  [timeout] is wall seconds for the whole portfolio
     ([grace], default 1.0, pads the cancellation ladder exactly as in
-    {!Msu_harness.Worker.spawn}); [max_conflicts] is a per-worker
-    conflict budget.  Never raises on worker crashes: a crashed worker
+    {!Msu_harness.Worker.spawn}).  [request] (default
+    {!Msu_maxsat.Types.default_request}) goes unchanged to every worker,
+    the SLS rider included, through {!Msu_harness.Worker.solve}: its
+    budgets are per worker, its solver flags apply in each.  Never raises on worker crashes: a crashed worker
     contributes its salvaged bounds and the rest keep racing.
 
     With [sink] the workers' typed event streams ({!Msu_obs.Obs.Event})

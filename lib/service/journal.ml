@@ -14,7 +14,7 @@ type record =
 type t = { fd : Unix.file_descr; mutable dead : bool }
 
 let magic = 0x4D53554A (* "MSUJ" *)
-let version = 2
+let version = 3
 let header_len = 8
 let frame_head = 4 + 16 (* length word + MD5 of the payload *)
 

@@ -6,7 +6,8 @@
     the journal on restart and re-enqueues every admitted-but-not-
     completed job, so accepting a job really is a durable promise.
 
-    On-disk format: an 8-byte header (magic word + format version),
+    On-disk format: an 8-byte header (magic word + format version, 3
+    since {!Protocol.options} carries the whole solve request),
     then one frame per record — 4-byte big-endian payload length,
     16-byte MD5 digest of the payload, Marshal payload.  Replay stops
     at the first truncated or corrupt frame (the torn tail a crash

@@ -44,7 +44,7 @@ let of_wire ww =
 type options = {
   algorithm : M.algorithm;
   timeout : float option;  (* None = server default *)
-  max_conflicts : int option;
+  request : T.request;
   priority : int;  (* higher pops sooner; FIFO within a priority *)
   use_cache : bool;
   fault : Msu_guard.Fault.kind option;  (* armed in the worker; tests only *)
@@ -54,7 +54,7 @@ let default_options =
   {
     algorithm = M.Msu4_v2;
     timeout = None;
-    max_conflicts = None;
+    request = T.default_request;
     priority = 0;
     use_cache = true;
     fault = None;
@@ -114,7 +114,7 @@ type reply =
 
 let max_frame = 1 lsl 28
 let magic = 0x4D535355 (* "MSSU" *)
-let version = 2
+let version = 3
 
 exception Protocol_error of string
 

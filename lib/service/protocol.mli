@@ -27,7 +27,10 @@ val of_wire : wire_wcnf -> Msu_cnf.Wcnf.t
 type options = {
   algorithm : Msu_maxsat.Maxsat.algorithm;
   timeout : float option;  (** per-request budget; [None] = server default *)
-  max_conflicts : int option;
+  request : Msu_maxsat.Types.request;
+      (** budgets and solver flags, handed unchanged to the worker's
+          {!Msu_harness.Worker.solve} (a pure-data record, so it
+          marshals as is) *)
   priority : int;  (** higher pops sooner; FIFO within one priority *)
   use_cache : bool;  (** allow serving this request from the cache *)
   fault : Msu_guard.Fault.kind option;
@@ -36,7 +39,8 @@ type options = {
 }
 
 val default_options : options
-(** msu4-v2, server-default budgets, priority 0, cache on. *)
+(** msu4-v2, server-default timeout, {!Msu_maxsat.Types.default_request},
+    priority 0, cache on. *)
 
 type request =
   | Solve of { wcnf : wire_wcnf; options : options }
@@ -104,7 +108,8 @@ val magic : int
 (** Frame magic word; anything else on the wire is garbage. *)
 
 val version : int
-(** Protocol version stamped on every frame this binary emits. *)
+(** Protocol version stamped on every frame this binary emits: 3 since
+    [options] carries the whole solve request. *)
 
 val encode : 'a -> bytes
 (** Header-prefixed Marshal frame for one value. *)

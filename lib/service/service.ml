@@ -338,7 +338,7 @@ let spawn st job =
       ?fault:job.j_options.P.fault ~deadline ~grace:st.cfg.grace (fun up ->
         fst
           (Worker.solve ~up ~events ?trace ?resume
-             ?max_conflicts:job.j_options.P.max_conflicts ~id:job.j_id ~deadline
+             ~request:job.j_options.P.request ~id:job.j_id ~deadline
              job.j_options.P.algorithm job.j_wcnf))
   in
   say st "job %d -> worker (%s, timeout %.1fs%s)" job.j_id

@@ -112,7 +112,7 @@ let test_budget_soundness () =
       let opt = Wcnf.brute_force_min_cost w in
       List.iter
         (fun alg ->
-          let config = { T.default_config with T.max_conflicts = Some 2 } in
+          let config = { T.default_config with T.request = { T.default_request with T.max_conflicts = Some 2 } } in
           let r = M.solve_supervised ~config alg w in
           let name what =
             Printf.sprintf "%s/%s %s" iname (M.algorithm_to_string alg) what
@@ -421,7 +421,7 @@ let test_wait_ladder_eintr () =
 
 let test_runner_budget_abort_reason () =
   let w = Wcnf.of_formula (pigeonhole 4) in
-  let r = R.run_one ~conflict_budget:1 ~timeout:10.0 M.Msu4_v2 ("php4", "php", w) in
+  let r = R.run_one ~request:{ T.default_request with T.max_conflicts = Some 1 } ~timeout:10.0 M.Msu4_v2 ("php4", "php", w) in
   match r.R.outcome with
   | R.Aborted { why = R.Out_of_conflicts; _ } -> ()
   | R.Solved _ -> Alcotest.fail "php4 cannot be solved in one conflict"

@@ -137,8 +137,10 @@ let test_result_rule () =
     [
       (Unix.WEXITED 0, "worker produced no result");
       (Unix.WEXITED 2, "worker exit 2");
-      (Unix.WSIGNALED 9, "worker killed (signal 9)");
-      (Unix.WSIGNALED 15, "worker killed (signal 15)");
+      (* What [Unix.waitpid] really returns: OCaml's signal constants,
+         named by their OS numbers. *)
+      (Unix.WSIGNALED Sys.sigkill, "worker killed (signal 9)");
+      (Unix.WSIGNALED Sys.sigterm, "worker killed (signal 15)");
     ]
   in
   List.iter
@@ -152,6 +154,18 @@ let test_result_rule () =
       check "complete Error file" (Some (Error "stack overflow")) (Error "stack overflow");
       check "no file" None (Error no_file))
     rows
+
+(* A worker that really dies of SIGKILL reports the OS number: exit
+   code 128 + 9, as [Worker_exit] promises, and "signal 9". *)
+let test_sigkilled_exit_code () =
+  let w =
+    Worker.spawn ~deadline:infinity ~grace:10.0 (fun _ ->
+        Unix.kill (Unix.getpid ()) Sys.sigkill;
+        Unix.sleepf 10.0)
+  in
+  Alcotest.(check (result unit string))
+    "verdict" (Error "worker killed (signal 9)") (Worker.wait w);
+  Alcotest.(check (option int)) "exit code" (Some 137) (Worker.exit_code w)
 
 (* SIGTERM sent the instant [spawn] returns: it is blocked across the
    fork and the child installs its handler before unblocking, so the
@@ -220,6 +234,7 @@ let suite =
       test_sigterm_flushes_partial_bounds;
     Alcotest.test_case "SIGKILL backstop reaps" `Quick test_sigkill_backstop;
     Alcotest.test_case "worker result rule" `Quick test_result_rule;
+    Alcotest.test_case "SIGKILLed worker exit code" `Quick test_sigkilled_exit_code;
     Alcotest.test_case "early SIGTERM reaches the guard" `Quick
       test_early_sigterm_reaches_guard;
     Alcotest.test_case "consistency detection" `Quick test_consistency_detection;

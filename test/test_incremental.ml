@@ -112,7 +112,7 @@ let test_budget_bounds () =
   (* true optimum: drop exactly one clause *)
   List.iter
     (fun budget ->
-      let config = { T.default_config with T.max_conflicts = Some budget } in
+      let config = { T.default_config with T.request = { T.default_request with T.max_conflicts = Some budget } } in
       List.iter
         (fun alg ->
           let r = M.solve ~config alg w in

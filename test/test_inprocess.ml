@@ -16,7 +16,7 @@ module T = Msu_maxsat.Types
 open Test_util
 
 let on = T.default_config (* inprocessing is on by default *)
-let off = { T.default_config with T.inprocess = false }
+let off = { T.default_config with T.request = { T.default_request with T.inprocess = false } }
 
 let satisfied m c =
   Array.exists (fun l -> if Lit.sign l then m.(Lit.var l) else not m.(Lit.var l)) c

@@ -252,29 +252,12 @@ let test_msu4_without_optional_constraint () =
   for _ = 1 to 40 do
     let w = random_wcnf st ~partial:false in
     let expected = Wcnf.brute_force_min_cost w in
-    let config = { T.default_config with T.core_geq1 = false } in
+    let config = { T.default_config with T.request = { T.default_request with T.core_geq1 = false } } in
     let r = Msu_maxsat.Msu4.solve ~config w in
     match (r.T.outcome, expected) with
     | T.Optimum c, Some e -> Alcotest.(check int) "optimum" e c
     | T.Hard_unsat, None -> ()
     | o, _ -> Alcotest.failf "unexpected %a" T.pp_outcome o
-  done
-
-let test_msu4_all_encodings () =
-  let st = Random.State.make [| 515 |] in
-  for _ = 1 to 15 do
-    let w = random_wcnf st ~partial:false in
-    let expected = Wcnf.brute_force_min_cost w in
-    List.iter
-      (fun enc ->
-        let config = { T.default_config with T.encoding = enc } in
-        let r = Msu_maxsat.Msu4.solve ~config w in
-        match (r.T.outcome, expected) with
-        | T.Optimum c, Some e ->
-            Alcotest.(check int) (Msu_card.Card.encoding_to_string enc) e c
-        | T.Hard_unsat, None -> ()
-        | o, _ -> Alcotest.failf "unexpected %a" T.pp_outcome o)
-      Msu_card.Card.all_encodings
   done
 
 let test_algorithm_names () =
@@ -381,78 +364,6 @@ let test_local_search_deterministic () =
   Alcotest.(check bool) "same outcome for same seed" true (r1.T.outcome = r2.T.outcome)
 
 
-(* ---------------- lexicographic / BMO ---------------- *)
-
-module Lex = Msu_maxsat.Lexico
-
-let random_bmo_wcnf st =
-  (* Weights 25 / 5 / 1 over few-enough clauses keep the BMO property:
-     each level must outweigh everything below it combined. *)
-  let n_vars = 3 + Random.State.int st 6 in
-  let w = Wcnf.create () in
-  Wcnf.ensure_vars w n_vars;
-  List.iter
-    (fun (weight, count) ->
-      for _ = 1 to count do
-        let len = 1 + Random.State.int st 3 in
-        let c =
-          Array.init len (fun _ ->
-              Lit.make (Random.State.int st n_vars) (Random.State.bool st))
-        in
-        ignore (Wcnf.add_soft w ~weight c)
-      done)
-    [ (25, 1 + Random.State.int st 3); (5, 1 + Random.State.int st 4); (1, 1 + Random.State.int st 4) ];
-  w
-
-let test_bmo_detection () =
-  let st = Random.State.make [| 0xB01 |] in
-  Alcotest.(check bool) "bmo instance" true (Lex.is_bmo (random_bmo_wcnf st));
-  let w = Wcnf.create () in
-  ignore (Wcnf.add_soft w ~weight:3 (clause [ 1 ]));
-  ignore (Wcnf.add_soft w ~weight:2 (clause [ 2 ]));
-  ignore (Wcnf.add_soft w ~weight:2 (clause [ 3 ]));
-  Alcotest.(check bool) "not bmo" false (Lex.is_bmo w);
-  Alcotest.(check bool) "unit weights are bmo" true (Lex.is_bmo (example2 ()))
-
-let test_lexico_matches_brute () =
-  let st = Random.State.make [| 0xB02 |] in
-  for _ = 1 to 25 do
-    let w = random_bmo_wcnf st in
-    let expected = Wcnf.brute_force_min_cost w in
-    let r = Lex.solve w in
-    match (r.T.outcome, expected) with
-    | T.Optimum c, Some e ->
-        Alcotest.(check int) "lexico optimum" e c;
-        Alcotest.(check bool) "model verifies" true (T.verify_model w r)
-    | T.Hard_unsat, None -> ()
-    | o, _ -> Alcotest.failf "unexpected %a" T.pp_outcome o
-  done
-
-let test_lexico_agrees_with_wpm1 () =
-  let st = Random.State.make [| 0xB03 |] in
-  for _ = 1 to 15 do
-    let w = random_bmo_wcnf st in
-    let a = (Lex.solve w).T.outcome and b = (M.solve M.Wpm1 w).T.outcome in
-    Alcotest.(check bool) "agree" true (a = b)
-  done
-
-let test_lexico_rejects_non_bmo () =
-  (* 3 < 2 + 2: the top level does not dominate. *)
-  let w = Wcnf.create () in
-  ignore (Wcnf.add_soft w ~weight:3 (clause [ 1 ]));
-  ignore (Wcnf.add_soft w ~weight:2 (clause [ -1 ]));
-  ignore (Wcnf.add_soft w ~weight:2 (clause [ 2 ]));
-  match Lex.solve w with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "expected rejection"
-
-let test_lexico_inner_choice () =
-  let w = random_bmo_wcnf (Random.State.make [| 0xB04 |]) in
-  let via_oll = Lex.solve ~inner:(fun ?config w -> Msu_maxsat.Oll.solve ?config w) w in
-  let via_msu4 = Lex.solve w in
-  Alcotest.(check bool) "inner algorithms agree" true
-    (via_oll.T.outcome = via_msu4.T.outcome)
-
 let suite =
   [
     Alcotest.test_case "paper example 2, all algorithms" `Quick
@@ -477,7 +388,6 @@ let suite =
     Alcotest.test_case "deadline gives sound bounds" `Quick test_deadline_gives_bounds;
     Alcotest.test_case "msu4 without optional constraint" `Quick
       test_msu4_without_optional_constraint;
-    Alcotest.test_case "msu4 across all encodings" `Quick test_msu4_all_encodings;
     Alcotest.test_case "algorithm names" `Quick test_algorithm_names;
     Alcotest.test_case "trace hook" `Quick test_trace_hook;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
@@ -488,9 +398,4 @@ let suite =
     Alcotest.test_case "local search respects hards" `Quick test_local_search_respects_hards;
     Alcotest.test_case "local search weighted" `Quick test_local_search_weighted;
     Alcotest.test_case "local search deterministic" `Quick test_local_search_deterministic;
-    Alcotest.test_case "bmo detection" `Quick test_bmo_detection;
-    Alcotest.test_case "lexico matches brute force" `Quick test_lexico_matches_brute;
-    Alcotest.test_case "lexico agrees with wpm1" `Quick test_lexico_agrees_with_wpm1;
-    Alcotest.test_case "lexico rejects non-bmo" `Quick test_lexico_rejects_non_bmo;
-    Alcotest.test_case "lexico inner choice" `Quick test_lexico_inner_choice;
   ]
